@@ -79,13 +79,14 @@ from .words import (
     Alphabet,
     FixedPointStream,
     Substitution,
+    SubstitutionSpec,
     Word,
     abelianize,
     apply_substitution,
     expand,
     list_periodic_seeds,
+    parse_substitution_spec,
 )
-from .cli import SubstitutionSpec, parse_substitution_spec
 
 __version__ = "0.1.0"
 

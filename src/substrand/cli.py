@@ -1,10 +1,7 @@
-"""Command-line surface: parse rule files, run analyses, emit JSON/CSV/SVG.
+"""Command-line surface: load rule files, run analyses, emit JSON/CSV/SVG.
 
-Rule files (conventionally ``.sub``) use one rule per line::
-
-    # Fibonacci
-    a -> ab
-    b -> a
+Rule files (conventionally ``.sub``) use the one-rule-per-line format of
+:func:`substrand.words.parse_substitution_spec`.
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative, 2 on input errors.
@@ -20,63 +17,19 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
 
 from . import coincidence as coin
 from . import ipsets, numeration, points, spectral, strand as strand_mod
 from .errors import InputError, SubstrandError
-from .words import FixedPointStream, Substitution, list_periodic_seeds
+from .words import FixedPointStream, Substitution, SubstitutionSpec, list_periodic_seeds
+from .words import parse_substitution_spec
 
 DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
 MAX_SEED_PERIOD = 8
-
-_RULE = re.compile(r"^\s*(\S+)\s*->\s*(.+?)\s*$")
-
-
-@dataclass(frozen=True)
-class SubstitutionSpec:
-    """A parsed rule file: source text, the substitution, an optional name."""
-
-    source: str
-    substitution: Substitution
-    name: str | None = None
-
-
-def parse_substitution_spec(text: str, name: str | None = None) -> SubstitutionSpec:
-    """Parse the rule text format; errors carry line numbers."""
-    rules: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        match = _RULE.match(line)
-        if not match:
-            column = len(line) - len(line.lstrip()) + 1
-            raise InputError(f"line {lineno}, column {column}: expected 'letter -> word'")
-        lhs = match.group(1)
-        rhs = "".join(match.group(2).split())
-        if len(lhs) != 1:
-            raise InputError(f"line {lineno}: left-hand side {lhs!r} must be one letter")
-        if lhs in rules:
-            raise InputError(f"line {lineno}: duplicate rule for {lhs!r}")
-        if not rhs:
-            raise InputError(f"line {lineno}: empty image for {lhs!r}")
-        rules[lhs] = rhs
-    if not rules:
-        raise InputError("no rules found")
-    declared = set(rules)
-    for lhs, rhs in rules.items():
-        for ch in rhs:
-            if ch not in declared:
-                raise InputError(
-                    f"image of {lhs!r} uses undeclared symbol {ch!r}"
-                )
-    return SubstitutionSpec(source=text, substitution=Substitution(rules), name=name)
 
 
 def _load_spec(path: str) -> SubstitutionSpec:
@@ -99,6 +52,10 @@ def _default_horizon() -> int:
     if value < 1:
         raise InputError("SUBSTRAND_HORIZON must be >= 1")
     return value
+
+
+def _horizon(args) -> int:
+    return args.horizon if args.horizon is not None else _default_horizon()
 
 
 def _emit(args, payload, text: str | None = None) -> None:
@@ -172,7 +129,7 @@ def _cmd_expand(args) -> int:
 def _cmd_occurrences(args) -> int:
     spec = _load_spec(args.spec)
     stream = _stream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, args.horizon)
+    occ = points.occurrences(stream, args.factor, _horizon(args))
     _emit(args, occ.to_json_dict(), occ.to_text())
     return 0
 
@@ -180,7 +137,7 @@ def _cmd_occurrences(args) -> int:
 def _cmd_gaps(args) -> int:
     spec = _load_spec(args.spec)
     stream = _stream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, args.horizon)
+    occ = points.occurrences(stream, args.factor, _horizon(args))
     gap = points.max_return_gap(occ)
     payload = {
         "factor": str(occ.factor),
@@ -196,7 +153,7 @@ def _cmd_proximal(args) -> int:
     spec = _load_spec(args.spec)
     a, b = _parse_seeds(args.seeds)
     x, y, _ = _stream_pair(spec.substitution, a, b)
-    evidence = points.proximality_scan(x, y, args.min_window, args.horizon)
+    evidence = points.proximality_scan(x, y, args.min_window, _horizon(args))
     _emit(args, evidence.to_json_dict())
     if args.expect_evidence and evidence.verdict != points.EVIDENCE_FOR:
         return 1
@@ -223,7 +180,7 @@ def _cmd_coincide(args) -> int:
     results = []
     all_found = bool(pairs)
     for a, b in pairs:
-        verdict, period = _coincide_pair(sub, a, b, args.horizon, args.deep)
+        verdict, period = _coincide_pair(sub, a, b, _horizon(args), args.deep)
         entry = {"seeds": [a, b], "period": period}
         entry.update(verdict.to_json_dict())
         results.append(entry)
@@ -303,11 +260,12 @@ def _cmd_num_sync(args) -> int:
 def _cmd_ipset_build(args) -> int:
     spec = _load_spec(args.spec)
     sub = spec.substitution
+    horizon = _horizon(args)
     a, b = _parse_seeds(args.seeds)
     x, y, period = _stream_pair(sub, a, b)
-    verdict = coin.find_strong_coincidence(x, y, args.horizon)
+    verdict = coin.find_strong_coincidence(x, y, horizon)
     if not verdict.found:
-        _emit(args, {"witness": None, "horizon": args.horizon, "family": None})
+        _emit(args, {"witness": None, "horizon": horizon, "family": None})
         return 1
     family = ipsets.build_fs_family(sub.power(period), verdict.witness, args.count)
     _emit(args, {"witness": verdict.witness.to_json_dict(), "family": family.to_json_dict()})
@@ -317,7 +275,7 @@ def _cmd_ipset_build(args) -> int:
 def _cmd_ipset_verify(args) -> int:
     spec = _load_spec(args.spec)
     sub = spec.substitution
-    witness_horizon = args.horizon if args.horizon is not None else _default_horizon()
+    witness_horizon = _horizon(args)
     if args.generators:
         if not args.seed or not args.factor:
             raise InputError("--generators needs --seed and --factor")
@@ -357,10 +315,11 @@ def _cmd_ipset_verify(args) -> int:
 def _cmd_ipset_search(args) -> int:
     spec = _load_spec(args.spec)
     stream = _stream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, args.horizon)
+    horizon = _horizon(args)
+    occ = points.occurrences(stream, args.factor, horizon)
     family = ipsets.search_ip_witness(occ, args.depth)
     if family is None:
-        _emit(args, {"found": False, "depth": args.depth, "horizon": args.horizon})
+        _emit(args, {"found": False, "depth": args.depth, "horizon": horizon})
         return 1 if args.expect_found else 0
     _emit(args, {"found": True, "family": family.to_json_dict()})
     return 0
@@ -426,7 +385,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Analyze substitutions: classification, coincidence, numeration, IP sets, strands.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    horizon = _default_horizon()
 
     p = sub.add_parser("classify", help="spectral classification report")
     p.add_argument("spec")
@@ -446,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_occurrences)
 
@@ -454,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_gaps)
 
@@ -462,7 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seeds", required=True)
     p.add_argument("--min-window", type=int, default=4)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--expect-evidence", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_proximal)
@@ -470,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coincide", help="strong-coincidence witness search")
     p.add_argument("spec")
     p.add_argument("--seeds", default=None)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--deep", action="store_true", help="double the horizon up to 1e7")
     p.add_argument("--expect-witness", action="store_true")
     _add_common(p)
@@ -520,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seeds", required=True)
     p.add_argument("--count", type=int, default=2)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_ipset_build)
 
@@ -542,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
-    p.add_argument("--horizon", type=int, default=horizon)
+    p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--expect-found", action="store_true")
     _add_common(p)

@@ -6,12 +6,18 @@ k >= 1 with D_k = 0 and x_k = y_k, in which case the length-k prefixes are
 abelian equivalent words followed by a common letter. With no witness below
 the horizon the scan reports the set of D values seen and whether that set
 stopped growing (finiteness evidence), never a proof of non-coincidence.
+
+D is computed only by :func:`_delta_blocks`, a cumulative sum over the
+streams' letter buffers in bounded blocks; every scan here and
+:func:`substrand.strand.max_stable_delta_norm` consume it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InputError
 from .words import FixedPointStream, Word, abelianize
@@ -88,49 +94,44 @@ def _check_pair(x: FixedPointStream, y: FixedPointStream) -> None:
         raise InputError("streams must share an alphabet")
 
 
-def _scan(x: FixedPointStream, y: FixedPointStream, horizon: int, stop_at_witness: bool):
-    """Shared incremental scan.
+_BLOCK_CELLS = 1 << 19  # entries of D (rows times letters) per block: bounds memory
 
-    Returns (witness_index, first_seen) where first_seen maps each distinct
-    difference vector to the index at which it first appeared (scanned over
-    k in [0, horizon)), and witness_index is the least k >= 1 with zero
-    difference and equal next letters, or None.
-    """
-    xs = x.prefix_indices(horizon)
-    ys = y.prefix_indices(horizon)
+
+def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
+    """Yield ``(k0, block)``, int64 rows ``block[i] = D_{k0+i}``, for k in [0, horizon]
+    in increasing order; the first block holds D_0 alone."""
+    _check_pair(x, y)
+    xs, ys = x.prefix_indices(horizon), y.prefix_indices(horizon)
     n = len(x.alphabet)
-    delta = [0] * n
-    first_seen: dict[tuple[int, ...], int] = {tuple(delta): 0}
-    witness_index = None
-    zero = tuple([0] * n)
-    for k in range(1, horizon):
-        delta[xs[k - 1]] += 1
-        delta[ys[k - 1]] -= 1
-        key = tuple(delta)
-        if key not in first_seen:
-            first_seen[key] = k
-        if witness_index is None and key == zero and xs[k] == ys[k]:
-            witness_index = k
-            if stop_at_witness:
-                break
-    return witness_index, first_seen
+    rows = max(1, _BLOCK_CELLS // n)
+    delta = np.zeros((1, n), dtype=np.int64)
+    yield 0, delta
+    for j in range(0, horizon, rows):
+        xb, yb = xs[j:j + rows], ys[j:j + rows]
+        block = np.empty((len(xb), n), dtype=np.int64)
+        for a in range(n):
+            steps = (xb == a).view(np.int8) - (yb == a).view(np.int8)
+            np.cumsum(steps, dtype=np.int64, out=block[:, a])
+        block += delta
+        delta = block[-1:].copy()
+        yield j + 1, block
+
+
+def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.ndarray) -> None:
+    """Add each value in the block that ``first_seen`` lacks, with its index."""
+    order = np.lexsort(block.T)  # stable: each run of equal rows starts at its least index
+    ranked = block[order]
+    first = order[np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))]
+    for i, value in zip(first.tolist(), block[first].tolist()):
+        first_seen.setdefault(tuple(value), k0 + i)
 
 
 def delta_sequence(x: FixedPointStream, y: FixedPointStream, horizon: int) -> DeltaSequence:
-    """The exact difference sequence D_0..D_horizon via the step recurrence."""
-    _check_pair(x, y)
+    """The exact difference sequence D_0..D_horizon."""
     if horizon < 0:
         raise InputError("horizon must be >= 0")
-    xs = x.prefix_indices(horizon)
-    ys = y.prefix_indices(horizon)
-    n = len(x.alphabet)
-    delta = [0] * n
-    values = [tuple(delta)]
-    for k in range(horizon):
-        delta[xs[k]] += 1
-        delta[ys[k]] -= 1
-        values.append(tuple(delta))
-    return DeltaSequence(horizon, tuple(values))
+    blocks = _delta_blocks(x, y, horizon)
+    return DeltaSequence(horizon, tuple(tuple(row) for _, b in blocks for row in b.tolist()))
 
 
 def find_strong_coincidence(
@@ -141,23 +142,20 @@ def find_strong_coincidence(
     Witness prefixes are nonempty (k >= 1): a coincidence at the very first
     letter needs no prefix evidence and is excluded by definition.
     """
-    _check_pair(x, y)
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    witness_index, first_seen = _scan(x, y, horizon, stop_at_witness=True)
-    if witness_index is None:
-        return CoincidenceVerdict(
-            horizon=horizon,
-            witness=None,
-            delta_values=frozenset(first_seen),
-            stabilized=max(first_seen.values()) < horizon // 2,
-        )
-    k = witness_index
-    letter = x.alphabet.letters[x.prefix_indices(k + 1)[k]]
-    return CoincidenceVerdict(
-        horizon=horizon,
-        witness=CoincidenceWitness(k, letter, x.expand(k), y.expand(k)),
-    )
+    xs, ys = x.prefix_indices(horizon), y.prefix_indices(horizon)
+    first_seen: dict[tuple[int, ...], int] = {}
+    for k0, block in _delta_blocks(x, y, horizon - 1):
+        agree = np.flatnonzero(xs[k0:k0 + len(block)] == ys[k0:k0 + len(block)])
+        hits = k0 + agree[~block[agree].any(axis=1)]
+        if k0 and hits.size:  # k0 = 0 only in the block of D_0, which is excluded
+            k = int(hits[0])
+            witness = CoincidenceWitness(k, x.alphabet.letters[xs[k]], x.expand(k), y.expand(k))
+            return CoincidenceVerdict(horizon=horizon, witness=witness)
+        _note_first_seen(first_seen, k0, block)
+    stabilized = max(first_seen.values()) < horizon // 2
+    return CoincidenceVerdict(horizon, None, frozenset(first_seen), stabilized)
 
 
 def validate_witness(
@@ -188,8 +186,9 @@ def delta_value_set(
     horizon does; comparing cardinalities across horizons is the desk-scale
     finiteness check.
     """
-    _check_pair(x, y)
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    _, first_seen = _scan(x, y, horizon, stop_at_witness=False)
+    first_seen: dict[tuple[int, ...], int] = {}
+    for k0, block in _delta_blocks(x, y, horizon - 1):
+        _note_first_seen(first_seen, k0, block)
     return frozenset(first_seen)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError
 from .words import FixedPointStream, Word
 
@@ -117,33 +119,16 @@ def proximality_scan(
         raise InputError("min_window must be >= 1")
     if horizon < min_window:
         raise InputError("horizon must be >= min_window")
-    xs = x.prefix_indices(horizon)
-    ys = y.prefix_indices(horizon)
-
-    runs: list[tuple[int, int]] = []
-    start = None
-    for k in range(horizon):
-        if xs[k] == ys[k]:
-            if start is None:
-                start = k
-        elif start is not None:
-            runs.append((start, k - start))
-            start = None
-    if start is not None:
-        runs.append((start, horizon - start))
-
-    windows = tuple((s, l) for s, l in runs if l >= min_window)
+    agree = x.prefix_indices(horizon) == y.prefix_indices(horizon)
+    # maximal runs of agreement start and end where the padded mask flips
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], agree, [False]))))
+    starts, ends = edges[0::2], edges[1::2]
+    lengths = ends - starts
+    long = lengths >= min_window
+    windows = tuple(zip(starts[long].tolist(), lengths[long].tolist()))
 
     probes = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
-    per_horizon = []
-    for h in probes:
-        best = 0
-        for s, l in runs:
-            if s < h:
-                best = max(best, min(s + l, h) - s)
-        per_horizon.append((h, best))
-    maxima = dict(per_horizon)
-    full = maxima[horizon]
-    half = maxima[max(1, horizon // 2)]
+    best = {h: int((np.minimum(ends, h) - starts)[starts < h].max(initial=0)) for h in probes}
+    full, half = best[horizon], best[max(1, horizon // 2)]
     verdict = EVIDENCE_FOR if (full >= min_window and full > half) else NONE_FOUND
-    return ProximalityEvidence(windows, horizon, min_window, tuple(per_horizon), verdict)
+    return ProximalityEvidence(windows, horizon, min_window, tuple(best.items()), verdict)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
-from scipy.linalg import schur
 
+from .coincidence import _delta_blocks
 from .errors import InputError, UnsupportedInputError
 from .spectral import ClassificationReport, PISOT_YES
 from .words import FixedPointStream, Substitution, Word
@@ -177,6 +177,7 @@ def invariant_splitting(
             "invariant splitting needs an irreducible Pisot classification, got "
             f"pisot_type={report.pisot_type!r}, irreducible={report.irreducible!r}"
         )
+    from scipy.linalg import schur  # its only use: keeps scipy out of every start-up
     from .spectral import perron_data
 
     dilation, right, res_r = perron_data(matrix, tolerance)
@@ -341,19 +342,13 @@ def max_stable_delta_norm(
     Boundedness of this quantity as the horizon grows is the geometric
     companion of the finite difference-vector set between two fixed points.
     """
-    if x.alphabet != y.alphabet:
-        raise InputError("streams must share an alphabet")
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    n = len(x.alphabet)
-    xs = np.array(x.prefix_indices(horizon), dtype=np.int64)
-    ys = np.array(y.prefix_indices(horizon), dtype=np.int64)
-    steps = np.zeros((horizon, n), dtype=np.int64)
-    steps[np.arange(horizon), xs] += 1
-    steps[np.arange(horizon), ys] -= 1
-    deltas = np.vstack([np.zeros((1, n), dtype=np.int64), np.cumsum(steps, axis=0)])
-    stable = deltas.astype(float) @ splitting.projector_stable.T
-    return float(np.linalg.norm(stable, axis=1).max())
+    projector = splitting.projector_stable.T
+    return max(
+        float(np.linalg.norm(block.astype(float) @ projector, axis=1).max())
+        for _, block in _delta_blocks(x, y, horizon)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Alphabets, finite words, substitutions, and lazy fixed-point expansion.
+"""Alphabets, finite words, substitutions, rule files, and lazy fixed-point expansion.
 
 Letters are single characters; internally words are stored as tuples of
 letter indices so that count vectors and matrices share one canonical
-ordering. Rule files use the text format (parsed in :mod:`substrand.cli`)::
+ordering. A fixed point's prefix is a numpy array of those indices, one
+byte per letter up to 256 letters, which the scans in :mod:`substrand.points`
+and :mod:`substrand.coincidence` read. Rule files use the text format parsed
+by :func:`parse_substitution_spec`::
 
     # Fibonacci
     a -> ab
@@ -11,7 +14,11 @@ ordering. Rule files use the text format (parsed in :mod:`substrand.cli`)::
 
 from __future__ import annotations
 
+import re
+from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from ._intmat import MatrixPowers
 from .errors import InputError
@@ -187,6 +194,50 @@ class Substitution:
         return f"Substitution({self.rules()!r})"
 
 
+_RULE = re.compile(r"^\s*(\S+)\s*->\s*(.+?)\s*$")
+
+
+@dataclass(frozen=True)
+class SubstitutionSpec:
+    """A parsed rule file: source text, the substitution, an optional name."""
+
+    source: str
+    substitution: Substitution
+    name: str | None = None
+
+
+def parse_substitution_spec(text: str, name: str | None = None) -> SubstitutionSpec:
+    """Parse the rule text format; errors carry line numbers."""
+    rules: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        if not line.strip():
+            continue
+        match = _RULE.match(line)
+        if not match:
+            column = len(line) - len(line.lstrip()) + 1
+            raise InputError(f"line {lineno}, column {column}: expected 'letter -> word'")
+        lhs = match.group(1)
+        rhs = "".join(match.group(2).split())
+        if len(lhs) != 1:
+            raise InputError(f"line {lineno}: left-hand side {lhs!r} must be one letter")
+        if lhs in rules:
+            raise InputError(f"line {lineno}: duplicate rule for {lhs!r}")
+        if not rhs:
+            raise InputError(f"line {lineno}: empty image for {lhs!r}")
+        rules[lhs] = rhs
+    if not rules:
+        raise InputError("no rules found")
+    declared = set(rules)
+    for lhs, rhs in rules.items():
+        for ch in rhs:
+            if ch not in declared:
+                raise InputError(
+                    f"image of {lhs!r} uses undeclared symbol {ch!r}"
+                )
+    return SubstitutionSpec(source=text, substitution=Substitution(rules), name=name)
+
+
 def apply_substitution(sub: Substitution, u: Word | str, power: int = 1) -> Word:
     """Apply the substitution ``power`` times to ``u`` (images concatenated in order)."""
     if power < 1:
@@ -232,9 +283,10 @@ class FixedPointStream:
     """Lazily expanded prefix of the one-sided periodic point at a seed letter.
 
     The working substitution is ``substitution ** period``; its image of the
-    seed must begin with the seed and have length > 1. The buffer only ever
-    grows, by applying the working substitution to the current prefix and
-    truncating on a doubling schedule (amortized linear in output length).
+    seed must begin with the seed and have length > 1. The buffer, an array
+    of dtype ``np.min_scalar_type(len(alphabet) - 1)``, only ever grows, by
+    applying the working substitution to the current prefix and truncating
+    on a doubling schedule (amortized linear in output length).
     """
 
     def __init__(self, substitution: Substitution, seed: str, period: int = 1):
@@ -252,7 +304,12 @@ class FixedPointStream:
                 f"image {''.join(substitution.alphabet.letters[i] for i in image)!r} "
                 f"must start with {seed!r} and have length > 1"
             )
-        self._buf: list[int] = [seed_index]
+        dtype = np.min_scalar_type(len(substitution.alphabet) - 1)
+        images = self._working._images
+        self._image_letters = np.array([i for im in images for i in im], dtype=dtype)
+        self._image_lengths = np.array([len(im) for im in images], dtype=np.intp)
+        self._image_starts = np.cumsum(self._image_lengths) - self._image_lengths
+        self._buf = np.array([seed_index], dtype=dtype)
 
     @property
     def alphabet(self) -> Alphabet:
@@ -263,18 +320,17 @@ class FixedPointStream:
         return self._working
 
     def _ensure(self, length: int) -> None:
-        if length <= len(self._buf):
-            return
-        images = self._working._images
         buf = self._buf
         while len(buf) < length:
             target = max(length, 2 * len(buf))
-            grown: list[int] = []
-            for i in buf:
-                grown.extend(images[i])
-                if len(grown) >= target:
-                    break
-            buf = grown
+            lengths = self._image_lengths[buf]
+            used = min(len(buf), int(np.searchsorted(np.cumsum(lengths), target)) + 1)
+            lengths = lengths[:used]
+            ends = np.cumsum(lengths)
+            # output position p in the image of buf[j] reads image_starts[buf[j]] + p - ends[j] + lengths[j]
+            gather = np.repeat(self._image_starts[buf[:used]] - ends + lengths, lengths)
+            gather += np.arange(len(gather))
+            buf = self._image_letters[gather]
         self._buf = buf
 
     def expand(self, length: int) -> Word:
@@ -282,18 +338,20 @@ class FixedPointStream:
         if length < 0:
             raise InputError("length must be >= 0")
         self._ensure(length)
-        return Word(self.alphabet, self._buf[:length])
+        return Word(self.alphabet, self._buf[:length].tolist())
 
-    def prefix_indices(self, length: int) -> list[int]:
-        """Prefix as a list of letter indices (for scanning loops)."""
+    def prefix_indices(self, length: int) -> np.ndarray:
+        """Prefix as a read-only array of letter indices (a view of the buffer)."""
         if length < 0:
             raise InputError("length must be >= 0")
         self._ensure(length)
-        return self._buf[:length]
+        prefix = self._buf[:length]
+        prefix.flags.writeable = False
+        return prefix
 
     def prefix_text(self, length: int) -> str:
-        letters = self.alphabet.letters
-        return "".join(letters[i] for i in self.prefix_indices(length))
+        codes = np.array([ord(a) for a in self.alphabet.letters], dtype="<u4")
+        return codes[self.prefix_indices(length)].tobytes().decode("utf-32-le", "surrogatepass")
 
     def __repr__(self) -> str:
         return f"FixedPointStream(seed={self.seed!r}, period={self.period})"

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,24 @@ def test_unknown_arguments_exit_2(capsys):
     assert main(["classify"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_bad_horizon_variable_only_breaks_commands_that_scan(capsys, monkeypatch, fib_spec, tm_spec):
+    monkeypatch.setenv("SUBSTRAND_HORIZON", "abc")
+    assert main(["classify", fib_spec]) == 0
+    capsys.readouterr()
+    assert main(["coincide", tm_spec]) == 2
+    assert capsys.readouterr().err == "error: SUBSTRAND_HORIZON must be an integer, got 'abc'\n"
+    # an explicit flag needs no default
+    assert main(["coincide", tm_spec, "--horizon", "100"]) == 0
+
+
+def test_library_import_loads_neither_cli_nor_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, substrand; "
+        "print(sorted(m for m in sys.modules if m == 'substrand.cli' or m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
