@@ -1,8 +1,8 @@
 """Strand geometry: inflation, confinement, and the Tribonacci fractal tile.
 
-A strand follows a word through the integer lattice, one unit segment per
-letter. Inflating a strand with the substitution multiplies vertices by the
-count matrix and refines each segment into its image chain. For irreducible
+A strand follows a word through the integer lattice from an origin, one unit
+segment per letter. Inflating a strand with the substitution multiplies
+vertices by the count matrix and refines each segment into its image chain. For irreducible
 Pisot substitutions the space splits into an expanding line and a contracting
 complement; iterated strands stay inside a slab of bounded contracting norm
 (the envelope printed below), inflation conjugates translation along the
@@ -28,6 +28,11 @@ from substrand import (
 )
 
 
+def segments(strand):
+    """(initial vertex, letter) of each unit segment."""
+    return [(tuple(v), letter) for v, letter in zip(strand.vertices().tolist(), strand.word)]
+
+
 def main():
     fib = Substitution({"a": "ab", "b": "a"})
     splitting = invariant_splitting(classify(fib), abelianization_matrix(fib))
@@ -37,9 +42,9 @@ def main():
     seed = build_strand(fib.alphabet.word("a"))
     print("inflating a single segment twice:")
     step = substitute_strand(fib, seed)
-    print("  once :", [(s.vertex, fib.alphabet.letters[s.letter_index]) for s in step])
+    print("  once :", segments(step))
     step = substitute_strand(fib, step)
-    print("  twice:", [(s.vertex, fib.alphabet.letters[s.letter_index]) for s in step])
+    print("  twice:", segments(step))
 
     scan = stability_scan(fib, seed, 12, splitting)
     print("stable-norm envelope per iteration:")

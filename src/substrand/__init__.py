@@ -64,7 +64,6 @@ from .spectral import (
 )
 from .strand import (
     InvariantSplitting,
-    Segment,
     StabilityScan,
     Strand,
     build_strand,
@@ -107,7 +106,7 @@ __all__ = [
     "enumerate_paths", "synchronizing_scan", "format_path", "parse_path",
     "FsFamily", "FsProvenance", "FsVerification", "build_fs_family",
     "verify_finite_sums", "search_ip_witness",
-    "Segment", "Strand", "InvariantSplitting", "StabilityScan",
+    "Strand", "InvariantSplitting", "StabilityScan",
     "build_strand", "substitute_strand", "invariant_splitting",
     "stability_scan", "max_stable_delta_norm",
     "write_scan_csv", "write_stable_scatter_svg",

@@ -9,6 +9,10 @@ analysis came back negative, 2 on input errors.
 The default scan horizon is 100000 and can be overridden with the
 ``SUBSTRAND_HORIZON`` environment variable or per-command flags; ``coincide
 --deep`` doubles the horizon up to 10**7 while no witness is found.
+
+``expand --length`` and ``num decode --max-realize`` are capped at
+``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
+is expanded.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .words import parse_substitution_spec
 
 DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
+MATERIALIZE_CAP = 10_000_000
 MAX_SEED_PERIOD = 8
 
 
@@ -69,6 +74,11 @@ def _emit(args, payload, text: str | None = None) -> None:
         Path(out_path).write_text(body + "\n")
     else:
         print(body)
+
+
+def _check_materialize(flag: str, value: int) -> None:
+    if value > MATERIALIZE_CAP:
+        raise InputError(f"{flag} {value} exceeds the cap of {MATERIALIZE_CAP} letters")
 
 
 def _seed_with_period(sub: Substitution, letter: str) -> tuple[str, int]:
@@ -115,6 +125,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    _check_materialize("--length", args.length)
     spec = _load_spec(args.spec)
     stream = _stream(spec.substitution, args.seed, args.period)
     prefix = stream.prefix_text(args.length)
@@ -229,6 +240,7 @@ def _cmd_num_encode(args) -> int:
 
 
 def _cmd_num_decode(args) -> int:
+    _check_materialize("--max-realize", args.max_realize)
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     path = numeration.parse_path(spec.substitution, args.path)

@@ -1,9 +1,11 @@
 """Lattice strand geometry for irreducible Pisot substitutions.
 
-A strand is a chain of unit segments in Z^n whose types spell a word; the
-inflation map sends each segment to the chain spelled by its type's image,
-based at the matrix image of its initial vertex. Strand vertices stay exact
-integers; only the projections onto the expanding line and the contracting
+A strand is a lattice path in Z^n given by an origin and a word: each letter
+is a unit step along its coordinate axis. Inflation sends each segment to the
+path spelled by its letter's image, based at the matrix image of its initial
+vertex, so by linearity it maps (origin, word) to (M origin, image of word)
+(Arnoux-Ito). Strand vertices stay exact integers (int64, guarded against
+overflow); only the projections onto the expanding line and the contracting
 hyperplane are numeric. Iterating the inflation and watching the stable
 projection of the vertices gives a desk-scale picture of the invariant
 cylinder (an empirical confinement radius) and, for Tribonacci-like
@@ -12,16 +14,18 @@ substitutions, traces the familiar fractal tile.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .coincidence import _delta_blocks
 from .errors import InputError, UnsupportedInputError
 from .spectral import ClassificationReport, PISOT_YES
-from .words import FixedPointStream, Substitution, Word
+from .words import FixedPointStream, Substitution, Word, apply_substitution
 
+_INT64 = np.iinfo(np.int64)
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -29,98 +33,62 @@ _PALETTE = (
 
 
 @dataclass(frozen=True)
-class Segment:
-    """A unit segment: initial vertex plus one step along a coordinate axis."""
-
-    vertex: tuple[int, ...]
-    letter_index: int
-
-    @property
-    def terminal(self) -> tuple[int, ...]:
-        v = list(self.vertex)
-        v[self.letter_index] += 1
-        return tuple(v)
-
-
 class Strand:
-    """An ordered chain of segments whose types spell the pattern word."""
+    """A lattice path in Z^n: an integer origin and the word its unit steps spell.
 
-    __slots__ = ("alphabet", "segments")
+    Vertex j is ``origin + counts(word[:j])``; each letter is one unit
+    segment along its coordinate axis, so ``len(strand)`` counts segments.
+    """
 
-    def __init__(self, alphabet, segments: Iterable[Segment]):
-        segments = tuple(segments)
-        n = len(alphabet)
-        for seg in segments:
-            if len(seg.vertex) != n:
-                raise InputError("segment dimension does not match the alphabet")
-            if not 0 <= seg.letter_index < n:
-                raise InputError("segment type out of range")
-        for prev, nxt in zip(segments, segments[1:]):
-            if prev.terminal != nxt.vertex:
-                raise InputError("segments do not chain: terminal != next initial")
-        self.alphabet = alphabet
-        self.segments = segments
+    word: Word
+    origin: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.word)
 
-    def __iter__(self):
-        return iter(self.segments)
+    def vertices(self) -> np.ndarray:
+        """The initial vertex of every segment plus the final terminal vertex,
+        one int64 row each; an empty strand has no vertices."""
+        n = len(self.origin)
+        if not self.word.indices:
+            return np.zeros((0, n), dtype=np.int64)
+        steps = np.zeros((len(self.word) + 1, n), dtype=np.int64)
+        steps[0] = self.origin
+        steps[np.arange(1, len(self.word) + 1), self.word.indices] = 1
+        return np.cumsum(steps, axis=0)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Strand)
-            and self.alphabet == other.alphabet
-            and self.segments == other.segments
-        )
 
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.segments))
-
-    @property
-    def pattern(self) -> Word:
-        return Word(self.alphabet, (seg.letter_index for seg in self.segments))
-
-    def vertices(self) -> list[tuple[int, ...]]:
-        """All initial vertices plus the final terminal vertex."""
-        out = [seg.vertex for seg in self.segments]
-        if self.segments:
-            out.append(self.segments[-1].terminal)
-        return out
-
-    def __repr__(self) -> str:
-        return f"Strand(pattern={str(self.pattern)!r}, segments={len(self.segments)})"
+def _strand(word: Word, origin: tuple[int, ...]) -> Strand:
+    """The strand, refused if its vertices would leave int64."""
+    if min(origin) < _INT64.min or max(origin) + len(word) > _INT64.max:
+        raise InputError("strand vertices would leave the int64 range")
+    return Strand(word, origin)
 
 
 def build_strand(word: Word, origin: Sequence[int] | None = None) -> Strand:
     """The strand spelling a word, vertex j at origin + counts(word[:j])."""
     n = len(word.alphabet)
-    current = [0] * n if origin is None else list(origin)
-    if len(current) != n:
+    try:
+        origin = (0,) * n if origin is None else tuple(operator.index(c) for c in origin)
+    except TypeError:
+        raise InputError(f"origin entries must be integers, got {origin!r}") from None
+    if len(origin) != n:
         raise InputError("origin dimension does not match the alphabet")
-    segments = []
-    for idx in word.indices:
-        segments.append(Segment(tuple(current), idx))
-        current[idx] += 1
-    return Strand(word.alphabet, segments)
+    return _strand(word, origin)
 
 
 def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
-    """Inflate a strand; the result spells the image of the pattern."""
-    if sub.alphabet != strand.alphabet:
+    """Inflate a strand: by linearity the image of (origin, word) is
+    (M origin, sub(word)) for the count matrix M."""
+    if sub.alphabet != strand.word.alphabet:
         raise InputError("substitution and strand alphabets differ")
     from .spectral import abelianization_matrix
 
-    matrix = abelianization_matrix(sub)
-    n = len(matrix)
-    segments = []
-    for seg in strand.segments:
-        base = [sum(matrix[i][j] * seg.vertex[j] for j in range(n)) for i in range(n)]
-        for idx in sub.image_indices(seg.letter_index):
-            segments.append(Segment(tuple(base), idx))
-            base = list(base)
-            base[idx] += 1
-    return Strand(strand.alphabet, segments)
+    origin = tuple(
+        sum(m * o for m, o in zip(row, strand.origin))
+        for row in abelianization_matrix(sub)
+    )
+    return _strand(apply_substitution(sub, strand.word), origin)
 
 
 @dataclass(frozen=True)
@@ -130,7 +98,8 @@ class InvariantSplitting:
     ``projector_unstable`` projects onto the Perron line along the span of
     the remaining (generalized) eigendirections, ``projector_stable`` is its
     complement, and ``stable_basis`` holds an orthonormal basis of the
-    contracting subspace for coordinate readouts.
+    contracting subspace for coordinate readouts. The readouts take one
+    vertex or a stack of vertices (one per row).
     """
 
     dilation: float
@@ -145,21 +114,23 @@ class InvariantSplitting:
     def stable_dimension(self) -> int:
         return self.stable_basis.shape[1]
 
-    def stable_part(self, vector) -> np.ndarray:
-        return self.projector_stable @ np.asarray(vector, dtype=float)
+    def stable_part(self, vertices) -> np.ndarray:
+        return _matvecs(self.projector_stable, vertices)
 
-    def stable_norm(self, vector) -> float:
-        return float(np.linalg.norm(self.stable_part(vector)))
+    def stable_coords(self, vertices) -> np.ndarray:
+        return _matvecs(self.stable_basis.T, self.stable_part(vertices))
 
-    def stable_coords(self, vector) -> np.ndarray:
-        return self.stable_basis.T @ self.stable_part(vector)
-
-    def expanding_coefficient(self, vector) -> float:
+    def expanding_coefficient(self, vertices) -> np.ndarray:
         """t such that the unstable part is t times the expanding direction."""
-        return float(
-            self.expanding_direction
-            @ (self.projector_unstable @ np.asarray(vector, dtype=float))
+        return _matvecs(
+            self.expanding_direction, _matvecs(self.projector_unstable, vertices)
         )
+
+
+def _matvecs(matrix: np.ndarray, vectors) -> np.ndarray:
+    """``matrix @ v`` for a vector or each row of a stack of them, one product
+    per vector: a row-form ``V @ matrix.T`` rounds differently."""
+    return np.matmul(matrix, np.asarray(vectors, dtype=float)[..., None])[..., 0]
 
 
 def invariant_splitting(
@@ -253,10 +224,9 @@ class StabilityScan:
 
 
 def _stable_envelope(strand: Strand, splitting: InvariantSplitting) -> float:
-    vertices = strand.vertices()
-    if not vertices:
+    if not len(strand):
         return 0.0
-    arr = np.array(vertices, dtype=float)
+    arr = strand.vertices().astype(float)
     return float(np.linalg.norm(arr @ splitting.projector_stable.T, axis=1).max())
 
 
@@ -268,26 +238,32 @@ def _conjugation_error(
 ) -> float:
     """Max vertex deviation between inflating a translated strand and
     translating the inflated strand by dilation * offset."""
-    if not strand.segments or not offsets:
+    if not len(strand) or not offsets:
         return 0.0
     from .spectral import abelianization_matrix
 
     matrix = np.array(abelianization_matrix(sub), dtype=float)
     w = splitting.expanding_direction
     lam = splitting.dilation
-    inflated = substitute_strand(sub, strand)
-    reference = np.array([seg.vertex for seg in inflated.segments], dtype=float)
+    # row r of image_steps[i] is the unit step taken before vertex r of the
+    # image of letter i (row 0 is replaced by the segment's mapped vertex)
+    n = len(matrix)
+    images = [sub.image_indices(i) for i in range(n)]
+    image_steps = np.zeros((n, max(map(len, images)), n))
+    for i, image in enumerate(images):
+        image_steps[i, np.arange(1, len(image)), image[:-1]] = 1.0
+    in_image = np.arange(image_steps.shape[1]) < np.array([len(im) for im in images])[:, None]
+    types = np.array(strand.word.indices)
+    steps, in_image = image_steps[types], in_image[types]
+    vertices = strand.vertices()[:-1].astype(float)
+    reference = substitute_strand(sub, strand).vertices()[:-1].astype(float)
     worst = 0.0
     for t in offsets:
-        translated_vertices = []
-        for seg in strand.segments:
-            base = matrix @ (np.array(seg.vertex, dtype=float) - t * w)
-            for idx in sub.image_indices(seg.letter_index):
-                translated_vertices.append(base.copy())
-                base[idx] += 1.0
-        deviation = np.abs(
-            np.array(translated_vertices) - (reference - lam * t * w)
-        ).max()
+        steps[:, 0] = _matvecs(matrix, vertices - t * w)
+        # a cumsum adds the unit steps one at a time, as stepping along the
+        # image does: (x + 1) + 1 can round differently from x + 2
+        translated = np.cumsum(steps, axis=1)[in_image]
+        deviation = np.abs(translated - (reference - lam * t * w)).max()
         worst = max(worst, float(deviation))
     return worst
 
@@ -371,18 +347,15 @@ def write_scan_csv(scan: StabilityScan, splitting: InvariantSplitting, out: Text
     out.write(",".join(header) + "\n")
     rows = 0
     for iteration, strand in enumerate(scan.strands):
-        letters = strand.alphabet.letters
-        for seg in strand.segments:
-            coeff = splitting.expanding_coefficient(seg.vertex)
-            coords = splitting.stable_coords(seg.vertex)
-            row = (
-                [str(iteration)]
-                + [str(c) for c in seg.vertex]
-                + [letters[seg.letter_index], _fmt(coeff)]
-                + [_fmt(c) for c in coords]
-            )
-            out.write(",".join(row) + "\n")
-            rows += 1
+        vertices = strand.vertices()[:-1]
+        coeffs = splitting.expanding_coefficient(vertices).tolist()
+        coords = splitting.stable_coords(vertices).tolist()
+        out.writelines(
+            ",".join([str(iteration), *map(str, vertex), letter, _fmt(coeff), *map(_fmt, stable)])
+            + "\n"
+            for vertex, letter, coeff, stable in zip(vertices.tolist(), strand.word, coeffs, coords)
+        )
+        rows += len(strand)
     return rows
 
 
@@ -397,37 +370,29 @@ def write_stable_scatter_svg(
     """Scatter of the first two stable coordinates of a strand's vertices.
 
     Output is deterministic: fixed viewBox, fixed formatting, colors keyed
-    by segment type. Returns the number of points written.
+    by segment type (the terminal vertex takes the last segment's). Returns
+    the number of points written.
     """
-    vertices = strand.vertices()
-    types = [seg.letter_index for seg in strand.segments]
-    if vertices:
-        types.append(types[-1] if types else 0)
-    points = []
-    for v in vertices:
-        coords = splitting.stable_coords(v)
-        cx = float(coords[0]) if len(coords) >= 1 else 0.0
-        cy = float(coords[1]) if len(coords) >= 2 else 0.0
-        points.append((cx, cy))
+    coords = splitting.stable_coords(strand.vertices())[:, :2]
+    points = np.zeros((len(coords), 2))
+    points[:, : coords.shape[1]] = coords
+    types = strand.word.indices + strand.word.indices[-1:]
     out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
         f'width="{size}" height="{size}">\n'
     )
     out.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
-    if points:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-12)
-        scale = (size - 2 * margin) / span
-        x0, y0 = min(xs), min(ys)
-        for (cx, cy), letter_index in zip(points, types):
-            px = margin + (cx - x0) * scale
-            py = size - margin - (cy - y0) * scale
-            color = _PALETTE[letter_index % len(_PALETTE)]
-            out.write(
-                f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius}" '
-                f'fill="{color}" fill-opacity="0.8"/>\n'
-            )
+    if len(points):
+        low = points.min(axis=0)
+        span = max(float((points.max(axis=0) - low).max()), 1e-12)
+        scaled = (points - low) * ((size - 2 * margin) / span)
+        xs = (margin + scaled[:, 0]).tolist()
+        ys = (size - margin - scaled[:, 1]).tolist()
+        out.writelines(
+            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius}" '
+            f'fill="{_PALETTE[letter_index % len(_PALETTE)]}" fill-opacity="0.8"/>\n'
+            for px, py, letter_index in zip(xs, ys, types)
+        )
     out.write("</svg>\n")
     return len(points)
 

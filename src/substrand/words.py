@@ -23,6 +23,10 @@ import numpy as np
 from ._intmat import MatrixPowers
 from .errors import InputError
 
+# Source letters per gather step of the expansion: bounds its int64
+# temporaries to a few MB whatever the prefix length.
+_BLOCK_CELLS = 1 << 18
+
 
 class Alphabet:
     """An ordered set of distinct single-character letters.
@@ -286,7 +290,8 @@ class FixedPointStream:
     seed must begin with the seed and have length > 1. The buffer, an array
     of dtype ``np.min_scalar_type(len(alphabet) - 1)``, only ever grows, by
     applying the working substitution to the current prefix and truncating
-    on a doubling schedule (amortized linear in output length).
+    on a doubling schedule (amortized linear in output length); the images
+    are gathered ``_BLOCK_CELLS`` source letters at a time.
     """
 
     def __init__(self, substitution: Substitution, seed: str, period: int = 1):
@@ -323,14 +328,23 @@ class FixedPointStream:
         buf = self._buf
         while len(buf) < length:
             target = max(length, 2 * len(buf))
-            lengths = self._image_lengths[buf]
-            used = min(len(buf), int(np.searchsorted(np.cumsum(lengths), target)) + 1)
-            lengths = lengths[:used]
-            ends = np.cumsum(lengths)
-            # output position p in the image of buf[j] reads image_starts[buf[j]] + p - ends[j] + lengths[j]
-            gather = np.repeat(self._image_starts[buf[:used]] - ends + lengths, lengths)
-            gather += np.arange(len(gather))
-            buf = self._image_letters[gather]
+            # whole images of the shortest prefix of buf that reaches target
+            out = np.empty(target + int(self._image_lengths.max()), dtype=buf.dtype)
+            filled = 0
+            for start in range(0, len(buf), _BLOCK_CELLS):
+                block = buf[start:start + _BLOCK_CELLS]
+                lengths = self._image_lengths[block]
+                ends = np.cumsum(lengths)
+                used = int(np.searchsorted(ends, target - filled)) + 1
+                block, lengths, ends = block[:used], lengths[:used], ends[:used]
+                # output position p in the image of block[j] reads image_starts[block[j]] + p - ends[j] + lengths[j]
+                gather = np.repeat(self._image_starts[block] - ends + lengths, lengths)
+                gather += np.arange(len(gather))
+                out[filled:filled + len(gather)] = self._image_letters[gather]
+                filled += len(gather)
+                if filled >= target:
+                    break
+            buf = out[:filled]
         self._buf = buf
 
     def expand(self, length: int) -> Word:

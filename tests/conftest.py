@@ -1,6 +1,9 @@
+from dataclasses import dataclass
+
+import numpy as np
 import pytest
 
-from substrand import Substitution, apply_substitution
+from substrand import Substitution, Word, abelianization_matrix, apply_substitution
 
 
 @pytest.fixture
@@ -105,3 +108,170 @@ def oracle_longest_below(runs, h):
         if s < h:
             best = max(best, min(s + l, h) - s)
     return best
+
+
+# Segment-based strands: the representation the library used before a strand
+# became (origin, word), kept as the reference for it. A strand here is a
+# list of OracleSegment, and projections are one matrix-vector product per
+# vertex.
+
+
+@dataclass(frozen=True)
+class OracleSegment:
+    """A unit segment: initial vertex plus one step along a coordinate axis."""
+
+    vertex: tuple[int, ...]
+    letter_index: int
+
+    @property
+    def terminal(self) -> tuple[int, ...]:
+        v = list(self.vertex)
+        v[self.letter_index] += 1
+        return tuple(v)
+
+
+def oracle_build_strand(word, origin=None):
+    current = [0] * len(word.alphabet) if origin is None else list(origin)
+    segments = []
+    for idx in word.indices:
+        segments.append(OracleSegment(tuple(current), idx))
+        current[idx] += 1
+    return segments
+
+
+def oracle_vertices(segments):
+    """All initial vertices plus the final terminal vertex."""
+    out = [seg.vertex for seg in segments]
+    if segments:
+        out.append(segments[-1].terminal)
+    return out
+
+
+def oracle_word(alphabet, segments):
+    return Word(alphabet, (seg.letter_index for seg in segments))
+
+
+def oracle_substitute_strand(sub, segments):
+    matrix = abelianization_matrix(sub)
+    n = len(matrix)
+    out = []
+    for seg in segments:
+        base = [sum(matrix[i][j] * seg.vertex[j] for j in range(n)) for i in range(n)]
+        for idx in sub.image_indices(seg.letter_index):
+            out.append(OracleSegment(tuple(base), idx))
+            base = list(base)
+            base[idx] += 1
+    return out
+
+
+def _oracle_stable_coords(splitting, vertex):
+    return splitting.stable_basis.T @ (splitting.projector_stable @ np.asarray(vertex, dtype=float))
+
+
+def _oracle_expanding_coefficient(splitting, vertex):
+    return float(
+        splitting.expanding_direction
+        @ (splitting.projector_unstable @ np.asarray(vertex, dtype=float))
+    )
+
+
+def oracle_stable_envelope(segments, splitting):
+    vertices = oracle_vertices(segments)
+    if not vertices:
+        return 0.0
+    arr = np.array(vertices, dtype=float)
+    return float(np.linalg.norm(arr @ splitting.projector_stable.T, axis=1).max())
+
+
+def oracle_conjugation_error(sub, segments, splitting, offsets):
+    if not segments or not offsets:
+        return 0.0
+    matrix = np.array(abelianization_matrix(sub), dtype=float)
+    w = splitting.expanding_direction
+    lam = splitting.dilation
+    inflated = oracle_substitute_strand(sub, segments)
+    reference = np.array([seg.vertex for seg in inflated], dtype=float)
+    worst = 0.0
+    for t in offsets:
+        translated_vertices = []
+        for seg in segments:
+            base = matrix @ (np.array(seg.vertex, dtype=float) - t * w)
+            for idx in sub.image_indices(seg.letter_index):
+                translated_vertices.append(base.copy())
+                base[idx] += 1.0
+        deviation = np.abs(
+            np.array(translated_vertices) - (reference - lam * t * w)
+        ).max()
+        worst = max(worst, float(deviation))
+    return worst
+
+
+def _fmt(x):
+    return format(float(x), ".12g")
+
+
+def oracle_write_scan_csv(strands, alphabet, splitting, out):
+    """``strands`` is the list of segment lists, one per iteration."""
+    n = splitting.projector_stable.shape[0]
+    k = splitting.stable_dimension
+    header = (
+        ["iteration"]
+        + [f"v{i}" for i in range(n)]
+        + ["type", "expanding_coefficient"]
+        + [f"s{i}" for i in range(k)]
+    )
+    out.write(",".join(header) + "\n")
+    rows = 0
+    for iteration, segments in enumerate(strands):
+        for seg in segments:
+            coeff = _oracle_expanding_coefficient(splitting, seg.vertex)
+            coords = _oracle_stable_coords(splitting, seg.vertex)
+            row = (
+                [str(iteration)]
+                + [str(c) for c in seg.vertex]
+                + [alphabet.letters[seg.letter_index], _fmt(coeff)]
+                + [_fmt(c) for c in coords]
+            )
+            out.write(",".join(row) + "\n")
+            rows += 1
+    return rows
+
+
+_PALETTE = (
+    "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
+    "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
+)
+
+
+def oracle_write_stable_scatter_svg(segments, splitting, out, size=800, margin=40.0, point_radius=1.5):
+    vertices = oracle_vertices(segments)
+    types = [seg.letter_index for seg in segments]
+    if vertices:
+        types.append(types[-1] if types else 0)
+    points = []
+    for v in vertices:
+        coords = _oracle_stable_coords(splitting, v)
+        cx = float(coords[0]) if len(coords) >= 1 else 0.0
+        cy = float(coords[1]) if len(coords) >= 2 else 0.0
+        points.append((cx, cy))
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
+        f'width="{size}" height="{size}">\n'
+    )
+    out.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
+    if points:
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        span = max(max(xs) - min(xs), max(ys) - min(ys), 1e-12)
+        scale = (size - 2 * margin) / span
+        x0, y0 = min(xs), min(ys)
+        for (cx, cy), letter_index in zip(points, types):
+            px = margin + (cx - x0) * scale
+            py = size - margin - (cy - y0) * scale
+            color = _PALETTE[letter_index % len(_PALETTE)]
+            out.write(
+                f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius}" '
+                f'fill="{color}" fill-opacity="0.8"/>\n'
+            )
+    out.write("</svg>\n")
+    return len(points)

@@ -266,7 +266,7 @@ def test_criterion_7_strands():
         n = len(sub.alphabet)
         w = Word(sub.alphabet, [rng.randrange(n) for _ in range(rng.randrange(0, 51))])
         strand = build_strand(w)
-        assert substitute_strand(sub, strand).pattern == apply_substitution(sub, w)
+        assert substitute_strand(sub, strand).word == apply_substitution(sub, w)
         cases += 1
 
     for rules, origin in ((FIBONACCI, (3, -2)), (TRIBONACCI, (3, -2, 1))):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from substrand import InputError
-from substrand.cli import main, parse_substitution_spec
+from substrand import FixedPointStream, InputError, numeration
+from substrand.cli import MATERIALIZE_CAP, main, parse_substitution_spec
 
 
 @pytest.fixture
@@ -267,6 +267,24 @@ def test_unknown_arguments_exit_2(capsys):
     assert main(["classify"]) == 2
     assert main(["nonsense"]) == 2
     capsys.readouterr()
+
+
+def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialized past the cap")
+
+    over = str(MATERIALIZE_CAP + 1)
+    with monkeypatch.context() as mp:
+        mp.setattr(FixedPointStream, "_ensure", refuse)
+        mp.setattr(numeration, "decode_path", refuse)
+        assert main(["expand", fib_spec, "--seed", "a", "--length", over]) == 2
+        assert capsys.readouterr().err == f"error: --length {over} exceeds the cap of {MATERIALIZE_CAP} letters\n"
+        assert main(["num", "decode", fib_spec, "a: a.e.a", "--max-realize", over]) == 2
+        assert capsys.readouterr().err == f"error: --max-realize {over} exceeds the cap of {MATERIALIZE_CAP} letters\n"
+    code, payload = _run_json(
+        capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", str(MATERIALIZE_CAP)]
+    )
+    assert code == 0 and payload["value"] == 4
 
 
 def test_bad_horizon_variable_only_breaks_commands_that_scan(capsys, monkeypatch, fib_spec, tm_spec):

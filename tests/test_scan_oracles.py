@@ -1,8 +1,8 @@
 """The numpy scans against the pure-Python loops in conftest.
 
 Random 2-4 letter substitutions with fixed points at ``a`` and ``b``, at
-horizons that straddle the kernel's block boundaries, and one alphabet of
-more than 256 letters outside Latin-1.
+horizons that straddle the block boundaries of the kernel and of the
+expansion, and one alphabet of more than 256 letters outside Latin-1.
 """
 
 import random
@@ -22,7 +22,7 @@ from substrand import (
     occurrences,
     proximality_scan,
 )
-from substrand import coincidence
+from substrand import coincidence, words
 from conftest import (
     oracle_agreement_runs,
     oracle_delta_sequence,
@@ -94,10 +94,11 @@ def _check_against_oracles(sub, x, y, horizon):
     block_cells=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 19]),
 )
 def test_scans_match_oracles_on_random_substitutions(sub, horizon, block_cells):
-    x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
-    assert x.prefix_text(horizon) == oracle_prefix(sub, "a", horizon)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coincidence, "_BLOCK_CELLS", block_cells)
+        mp.setattr(words, "_BLOCK_CELLS", block_cells)
+        x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
+        assert x.prefix_text(horizon) == oracle_prefix(sub, "a", horizon)
         _check_against_oracles(sub, x, y, horizon)
         _check_against_oracles(sub, x, x, horizon)
 

@@ -1,14 +1,14 @@
+import functools
 import io
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from substrand import (
     FixedPointStream,
     InputError,
-    Segment,
-    Strand,
     UnsupportedInputError,
     Word,
     abelianization_matrix,
@@ -23,38 +23,71 @@ from substrand import (
     write_scan_csv,
     write_stable_scatter_svg,
 )
+from conftest import (
+    oracle_build_strand,
+    oracle_conjugation_error,
+    oracle_stable_envelope,
+    oracle_substitute_strand,
+    oracle_vertices,
+    oracle_word,
+    oracle_write_scan_csv,
+    oracle_write_stable_scatter_svg,
+)
 
 
+@functools.lru_cache(maxsize=None)
 def _splitting(sub, tolerance=1e-9):
     return invariant_splitting(classify(sub), abelianization_matrix(sub), tolerance)
+
+
+def _segments(strand):
+    """(initial vertex, letter) of each segment."""
+    return list(zip(map(tuple, strand.vertices().tolist()), strand.word))
 
 
 def test_build_strand_examples(fibonacci):
     A = fibonacci.alphabet
     s = build_strand(A.word("ab"))
-    assert [(seg.vertex, seg.letter_index) for seg in s] == [((0, 0), 0), ((1, 0), 1)]
+    assert s.vertices().tolist() == [[0, 0], [1, 0], [1, 1]]
+    assert s.vertices().dtype == np.int64
     assert len(build_strand(Word(A))) == 0
+    assert build_strand(Word(A)).vertices().shape == (0, 2)
     s2 = build_strand(A.word("abaab"))
-    assert s2.segments[-1].terminal == (3, 2)
-    assert s2.segments[-1].terminal == abelianize(A.word("abaab"))
+    assert tuple(s2.vertices()[-1]) == (3, 2) == abelianize(A.word("abaab"))
 
 
-def test_strand_chain_validation(fibonacci):
-    A = fibonacci.alphabet
+def test_build_strand_rejects_non_integer_origin(fibonacci):
+    w = fibonacci.alphabet.word("ab")
+    for origin in ((0.5, 0), (1.0, 0), ("1", 0), (None, 0)):
+        with pytest.raises(InputError):
+            build_strand(w, origin)
+    assert build_strand(w, (np.int64(2), True)).origin == (2, 1)
     with pytest.raises(InputError):
-        Strand(A, [Segment((0, 0), 0), Segment((5, 5), 1)])
+        build_strand(w, (0, 0, 0))
+
+
+def test_build_strand_rejects_origin_leaving_int64(fibonacci):
+    A = fibonacci.alphabet
+    top, bottom = 2**63 - 1, -(2**63)
+    w = A.word("aa")
+    assert build_strand(w, (top - 2, bottom)).vertices()[-1].tolist() == [top, bottom]
+    for origin in ((top - 1, 0), (0, top), (bottom - 1, 0)):
+        with pytest.raises(InputError):
+            build_strand(w, origin)
+    # inflation keeps the guard: M (2^62, 0) = (2^62, 2^62), then (2^63, 2^62)
+    once = substitute_strand(fibonacci, build_strand(A.word("a"), (2**62, 0)))
+    assert once.origin == (2**62, 2**62)
+    with pytest.raises(InputError):
+        substitute_strand(fibonacci, once)
 
 
 def test_substitute_single_segments(fibonacci):
     A = fibonacci.alphabet
     out = substitute_strand(fibonacci, build_strand(A.word("a")))
-    assert [(seg.vertex, A.letters[seg.letter_index]) for seg in out] == [
-        ((0, 0), "a"),
-        ((1, 0), "b"),
-    ]
-    assert len(substitute_strand(fibonacci, Strand(A, []))) == 0
-    out_b = substitute_strand(fibonacci, Strand(A, [Segment((1, 0), 1)]))
-    assert [(seg.vertex, A.letters[seg.letter_index]) for seg in out_b] == [((1, 1), "a")]
+    assert _segments(out) == [((0, 0), "a"), ((1, 0), "b")]
+    assert len(substitute_strand(fibonacci, build_strand(Word(A)))) == 0
+    out_b = substitute_strand(fibonacci, build_strand(A.word("b"), (1, 0)))
+    assert _segments(out_b) == [((1, 1), "a")]
 
 
 def test_pattern_commutation_random(fibonacci, tribonacci, aab_ba):
@@ -63,7 +96,7 @@ def test_pattern_commutation_random(fibonacci, tribonacci, aab_ba):
         n = len(sub.alphabet)
         for _ in range(10):
             w = Word(sub.alphabet, [rng.randrange(n) for _ in range(rng.randrange(0, 50))])
-            assert substitute_strand(sub, build_strand(w)).pattern == apply_substitution(sub, w)
+            assert substitute_strand(sub, build_strand(w)).word == apply_substitution(sub, w)
 
 
 def test_vertex_law_with_origin(tribonacci):
@@ -123,7 +156,7 @@ def test_stability_scan_bounded(fibonacci):
 
 def test_stability_scan_empty_strand(fibonacci):
     sp = _splitting(fibonacci)
-    scan = stability_scan(fibonacci, Strand(fibonacci.alphabet, []), 1, sp)
+    scan = stability_scan(fibonacci, build_strand(Word(fibonacci.alphabet)), 1, sp)
     assert scan.envelopes == (0.0, 0.0)
 
 
@@ -170,3 +203,64 @@ def test_svg_export_deterministic(tribonacci):
     assert n1 == n2 == len(scan.strands[-1]) + 1
     assert first.getvalue().startswith("<svg ")
     assert 'viewBox="0 0 800 800"' in first.getvalue()
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_strands_match_segment_oracles(fibonacci, tribonacci, aab_ba, data):
+    sub = data.draw(st.sampled_from([fibonacci, tribonacci, aab_ba]))
+    n = len(sub.alphabet)
+    word = Word(sub.alphabet, data.draw(st.lists(st.integers(0, n - 1), max_size=30)))
+    # small origins keep the stable coordinates small next to the vertices,
+    # where their rounding shows in the CSV's twelfth digit
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+    origin = tuple(data.draw(st.lists(entry, min_size=n, max_size=n)))
+    offsets = tuple(data.draw(st.lists(st.floats(-4.0, 4.0), max_size=3)))
+    iterations = data.draw(st.integers(1, 5))
+    sp = _splitting(sub)
+
+    seed = build_strand(word, origin)
+    oracle_seed = oracle_build_strand(word, origin)
+    assert seed.vertices().tolist() == [list(v) for v in oracle_vertices(oracle_seed)]
+
+    scan = stability_scan(sub, seed, iterations, sp, translation_samples=offsets)
+    oracle_strands = [oracle_seed]
+    for _ in range(iterations):
+        oracle_strands.append(oracle_substitute_strand(sub, oracle_strands[-1]))
+    for strand, segments in zip(scan.strands, oracle_strands):
+        assert strand.word == oracle_word(sub.alphabet, segments)
+        assert strand.vertices().tolist() == [list(v) for v in oracle_vertices(segments)]
+    assert scan.envelopes == tuple(oracle_stable_envelope(s, sp) for s in oracle_strands)
+    assert scan.conjugation_max_error == max(
+        oracle_conjugation_error(sub, oracle_strands[0], sp, offsets),
+        oracle_conjugation_error(sub, oracle_strands[-1], sp, offsets),
+    )
+
+    got, expected = io.StringIO(), io.StringIO()
+    assert write_scan_csv(scan, sp, got) == oracle_write_scan_csv(oracle_strands, sub.alphabet, sp, expected)
+    assert got.getvalue() == expected.getvalue()
+    for strand, segments in ((scan.strands[0], oracle_strands[0]), (scan.strands[-1], oracle_strands[-1])):
+        got, expected = io.StringIO(), io.StringIO()
+        assert write_stable_scatter_svg(strand, sp, got) == oracle_write_stable_scatter_svg(segments, sp, expected)
+        assert got.getvalue() == expected.getvalue()
+
+
+def test_tribonacci_scan_matches_segment_oracles(tribonacci):
+    sp = _splitting(tribonacci)
+    seed = build_strand(tribonacci.alphabet.word("a"))
+    scan = stability_scan(tribonacci, seed, 12, sp)
+    strands = [oracle_build_strand(seed.word)]
+    for _ in range(12):
+        strands.append(oracle_substitute_strand(tribonacci, strands[-1]))
+    assert scan.conjugation_max_error == max(
+        oracle_conjugation_error(tribonacci, strands[0], sp, scan.translation_samples),
+        oracle_conjugation_error(tribonacci, strands[-1], sp, scan.translation_samples),
+    )
+    got, expected = io.StringIO(), io.StringIO()
+    write_scan_csv(scan, sp, got)
+    oracle_write_scan_csv(strands, tribonacci.alphabet, sp, expected)
+    assert got.getvalue() == expected.getvalue()
+    got, expected = io.StringIO(), io.StringIO()
+    write_stable_scatter_svg(scan.strands[-1], sp, got)
+    oracle_write_stable_scatter_svg(strands[-1], sp, expected)
+    assert got.getvalue() == expected.getvalue()
