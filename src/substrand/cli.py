@@ -7,12 +7,18 @@ Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative, 2 on input errors.
 
 The default scan horizon is 100000 and can be overridden with the
-``SUBSTRAND_HORIZON`` environment variable or per-command flags; ``coincide
---deep`` doubles the horizon up to 10**7 while no witness is found.
+``SUBSTRAND_HORIZON`` environment variable or per-command flags. When no
+witness lies below the horizon, ``coincide --deep`` scans once more, to
+``DEEP_HORIZON_CAP`` = 10**7, and reports the first of the doubled horizons
+horizon * 2**j (capped) that reaches the least witness, or the cap when there
+is none. The streams grow with the scan, so a witness found early also stops
+the expansion early.
 
 ``expand --length`` and ``num decode --max-realize`` are capped at
 ``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
-is expanded.
+is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
+--range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
+exits 2 before the prefix automaton is built.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -34,6 +41,7 @@ from .words import parse_substitution_spec
 DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
 MATERIALIZE_CAP = 10_000_000
+NUMERATION_CAP = 1_000_000
 MAX_SEED_PERIOD = 8
 
 
@@ -76,9 +84,9 @@ def _emit(args, payload, text: str | None = None) -> None:
         print(body)
 
 
-def _check_materialize(flag: str, value: int) -> None:
-    if value > MATERIALIZE_CAP:
-        raise InputError(f"{flag} {value} exceeds the cap of {MATERIALIZE_CAP} letters")
+def _check_cap(flag: str, value: int, cap: int = MATERIALIZE_CAP, unit: str = "letters") -> None:
+    if value > cap:
+        raise InputError(f"{flag} {value} exceeds the cap of {cap} {unit}")
 
 
 def _seed_with_period(sub: Substitution, letter: str) -> tuple[str, int]:
@@ -125,7 +133,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    _check_materialize("--length", args.length)
+    _check_cap("--length", args.length)
     spec = _load_spec(args.spec)
     stream = _stream(spec.substitution, args.seed, args.period)
     prefix = stream.prefix_text(args.length)
@@ -172,11 +180,20 @@ def _cmd_proximal(args) -> int:
 
 
 def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
+    """The verdict at ``horizon``; with ``deep`` and no witness, the verdict at
+    the first of horizon * 2**j (capped at DEEP_HORIZON_CAP) that holds one.
+
+    The least witness does not depend on the horizon, so one scan to the cap
+    finds it, and the doubled horizon it is reported at follows from its index.
+    """
     x, y, period = _stream_pair(sub, a, b)
     verdict = coin.find_strong_coincidence(x, y, horizon)
-    while deep and not verdict.found and horizon < DEEP_HORIZON_CAP:
-        horizon = min(2 * horizon, DEEP_HORIZON_CAP)
-        verdict = coin.find_strong_coincidence(x, y, horizon)
+    if deep and not verdict.found and horizon < DEEP_HORIZON_CAP:
+        verdict = coin.find_strong_coincidence(x, y, DEEP_HORIZON_CAP)
+        if verdict.found:
+            while horizon <= verdict.witness.index:
+                horizon = min(2 * horizon, DEEP_HORIZON_CAP)
+            verdict = replace(verdict, horizon=horizon)
     return verdict, period
 
 
@@ -240,7 +257,7 @@ def _cmd_num_encode(args) -> int:
 
 
 def _cmd_num_decode(args) -> int:
-    _check_materialize("--max-realize", args.max_realize)
+    _check_cap("--max-realize", args.max_realize)
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     path = numeration.parse_path(spec.substitution, args.path)
@@ -250,6 +267,7 @@ def _cmd_num_decode(args) -> int:
 
 
 def _cmd_num_list(args) -> int:
+    _check_cap("--count", args.count, NUMERATION_CAP, "values")
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     paths = numeration.enumerate_paths(graph, args.start, args.count)
@@ -260,10 +278,11 @@ def _cmd_num_list(args) -> int:
 
 
 def _cmd_num_sync(args) -> int:
+    lo, hi = args.range
+    _check_cap("--range width", hi - lo + 1, NUMERATION_CAP, "values")
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     a, b = _parse_seeds(args.starts)
-    lo, hi = args.range
     scan = numeration.synchronizing_scan(graph, a, b, (lo, hi))
     _emit(args, scan.to_json_dict())
     return 0

@@ -99,15 +99,28 @@ _BLOCK_CELLS = 1 << 19  # entries of D (rows times letters) per block: bounds me
 
 def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     """Yield ``(k0, block)``, int64 rows ``block[i] = D_{k0+i}``, for k in [0, horizon]
-    in increasing order; the first block holds D_0 alone."""
+    in increasing order; the first block holds D_0 alone.
+
+    When a block is yielded the streams hold at least x_0..x_{k0+len(block)-1}.
+    They grow with the scan, so a consumer that stops early expands them about
+    as far as it read. Each growth at least doubles, and from past a quarter of
+    horizon + 1 letters it goes straight there: a stream doubles its buffer on
+    any shorter request, which would overshoot the horizon.
+    """
     _check_pair(x, y)
-    xs, ys = x.prefix_indices(horizon), y.prefix_indices(horizon)
     n = len(x.alphabet)
     rows = max(1, _BLOCK_CELLS // n)
     delta = np.zeros((1, n), dtype=np.int64)
     yield 0, delta
+    grown = 0
     for j in range(0, horizon, rows):
-        xb, yb = xs[j:j + rows], ys[j:j + rows]
+        end = min(j + rows, horizon)
+        if end >= grown:
+            grown = max(end + 1, 2 * grown)
+            grown = horizon + 1 if 4 * grown > horizon else grown
+            xs = x.prefix_indices(grown)
+            ys = y.prefix_indices(grown)
+        xb, yb = xs[j:end], ys[j:end]
         block = np.empty((len(xb), n), dtype=np.int64)
         for a in range(n):
             steps = (xb == a).view(np.int8) - (yb == a).view(np.int8)
@@ -119,8 +132,10 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
 
 def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.ndarray) -> None:
     """Add each value in the block that ``first_seen`` lacks, with its index."""
-    order = np.lexsort(block.T)  # stable: each run of equal rows starts at its least index
-    ranked = block[order]
+    # every D_k sums to 0 (both prefixes have length k): the last column is implied
+    keys = block[:, :max(1, block.shape[1] - 1)]
+    order = np.lexsort(keys.T)  # stable: each run of equal rows starts at its least index
+    ranked = keys[order]
     first = order[np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))]
     for i, value in zip(first.tolist(), block[first].tolist()):
         first_seen.setdefault(tuple(value), k0 + i)
@@ -144,14 +159,15 @@ def find_strong_coincidence(
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    xs, ys = x.prefix_indices(horizon), y.prefix_indices(horizon)
     first_seen: dict[tuple[int, ...], int] = {}
     for k0, block in _delta_blocks(x, y, horizon - 1):
-        agree = np.flatnonzero(xs[k0:k0 + len(block)] == ys[k0:k0 + len(block)])
+        end = k0 + len(block)
+        agree = np.flatnonzero(x.prefix_indices(end)[k0:] == y.prefix_indices(end)[k0:])
         hits = k0 + agree[~block[agree].any(axis=1)]
         if k0 and hits.size:  # k0 = 0 only in the block of D_0, which is excluded
             k = int(hits[0])
-            witness = CoincidenceWitness(k, x.alphabet.letters[xs[k]], x.expand(k), y.expand(k))
+            letter = x.alphabet.letters[x.prefix_indices(k + 1)[k]]
+            witness = CoincidenceWitness(k, letter, x.expand(k), y.expand(k))
             return CoincidenceVerdict(horizon=horizon, witness=witness)
         _note_first_seen(first_seen, k0, block)
     stabilized = max(first_seen.values()) < horizon // 2

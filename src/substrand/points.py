@@ -8,7 +8,9 @@ words agree on arbitrarily long windows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -17,6 +19,8 @@ from .words import FixedPointStream, Word
 
 EVIDENCE_FOR = "EvidenceFor"
 NONE_FOUND = "NoneFound"
+
+_BLOCK_CELLS = 1 << 16  # candidate starts per block of the occurrence scan: bounds memory
 
 
 @dataclass(frozen=True)
@@ -47,19 +51,27 @@ class OccurrenceSet:
 
 
 def occurrences(stream: FixedPointStream, factor: Word | str, horizon: int) -> OccurrenceSet:
-    """All occurrence positions of the factor below the horizon."""
+    """All occurrence positions of the factor below the horizon.
+
+    Candidates are the positions of the factor's first letter, found a block
+    at a time and narrowed letter by letter, so a long factor costs little
+    more than its first letter.
+    """
     factor = stream.alphabet.word(factor)
     if len(factor) == 0:
         raise InputError("factor must be nonempty")
     if horizon < len(factor):
         raise InputError("horizon must be at least the factor length")
-    text = stream.prefix_text(horizon)
-    needle = str(factor)
-    positions = []
-    start = text.find(needle)
-    while start != -1:
-        positions.append(start)
-        start = text.find(needle, start + 1)
+    letters = stream.prefix_indices(horizon)
+    starts = horizon - len(factor) + 1  # occurrences start below this
+    first, rest = factor.indices[0], factor.indices[1:]
+    positions: list[int] = []
+    for j in range(0, starts, _BLOCK_CELLS):
+        found = np.flatnonzero(letters[j:min(j + _BLOCK_CELLS, starts)] == first)
+        found += j
+        for i, a in enumerate(rest, 1):
+            found = found[letters[found + i] == a]
+        positions += found.tolist()
     return OccurrenceSet(factor, horizon, tuple(positions))
 
 
@@ -73,10 +85,7 @@ def max_return_gap(occ: OccurrenceSet) -> int | None:
     pos = occ.positions
     if len(pos) < 2:
         return None
-    gap = pos[0]
-    for prev, nxt in zip(pos, pos[1:]):
-        gap = max(gap, nxt - prev)
-    return gap
+    return max(pos[0], max(map(operator.sub, islice(pos, 1, None), pos)))
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,10 @@ class FixedPointStream:
 
     def _ensure(self, length: int) -> None:
         buf = self._buf
+        # at least double per call (growing by small steps stays linear), but every
+        # round of one call aims at the same target, so the call stops within an image of it
+        target = max(length, 2 * len(buf))
         while len(buf) < length:
-            target = max(length, 2 * len(buf))
             # whole images of the shortest prefix of buf that reaches target
             out = np.empty(target + int(self._image_lengths.max()), dtype=buf.dtype)
             filled = 0

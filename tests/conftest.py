@@ -3,7 +3,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from substrand import Substitution, Word, abelianization_matrix, apply_substitution
+from substrand import (
+    Substitution,
+    Word,
+    abelianization_matrix,
+    apply_substitution,
+    find_strong_coincidence,
+)
 
 
 @pytest.fixture
@@ -108,6 +114,36 @@ def oracle_longest_below(runs, h):
         if s < h:
             best = max(best, min(s + l, h) - s)
     return best
+
+
+def oracle_occurrences(text, needle):
+    """Positions of needle in text, by repeated ``str.find``."""
+    positions = []
+    start = text.find(needle)
+    while start != -1:
+        positions.append(start)
+        start = text.find(needle, start + 1)
+    return tuple(positions)
+
+
+def oracle_max_return_gap(positions):
+    """Largest gap between consecutive positions, counting the gap from 0."""
+    if len(positions) < 2:
+        return None
+    gap = positions[0]
+    for prev, nxt in zip(positions, positions[1:]):
+        gap = max(gap, nxt - prev)
+    return gap
+
+
+def oracle_deep_coincide(x, y, horizon, cap):
+    """``coincide --deep`` as a rescan from k = 0 at every doubling of the
+    horizon, up to ``cap``, until a witness is found."""
+    verdict = find_strong_coincidence(x, y, horizon)
+    while not verdict.found and horizon < cap:
+        horizon = min(2 * horizon, cap)
+        verdict = find_strong_coincidence(x, y, horizon)
+    return verdict
 
 
 # Segment-based strands: the representation the library used before a strand

@@ -4,11 +4,13 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from substrand import FixedPointStream, InputError, numeration
-from substrand.cli import MATERIALIZE_CAP, main, parse_substitution_spec
+from substrand import FixedPointStream, InputError, cli, coincidence, numeration
+from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main, parse_substitution_spec
+from conftest import oracle_deep_coincide
 
 
 @pytest.fixture
@@ -171,6 +173,52 @@ def test_coincide_deep_doubles_horizon(capsys, pair_spec):
     assert code == 0 and payload["pairs"][0]["witness"]["k"] == 3
 
 
+@pytest.mark.parametrize("cells", [8, coincidence._BLOCK_CELLS])
+def test_coincide_deep_expands_only_to_the_block_of_the_witness(monkeypatch, pair_spec, cells):
+    # the scan at the cap stops in its first block, and so does the expansion
+    monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
+    requested = []
+    ensure = FixedPointStream._ensure
+
+    def spy(self, length):
+        requested.append(length)
+        return ensure(self, length)
+
+    monkeypatch.setattr(FixedPointStream, "_ensure", spy)
+    sub = parse_substitution_spec(Path(pair_spec).read_text()).substitution
+    verdict, _ = cli._coincide_pair(sub, "a", "b", 2, True)
+    assert verdict.witness.index == 3 and verdict.horizon == 4
+    assert max(requested) <= cells // 2 + 1 < cli.DEEP_HORIZON_CAP // 10
+
+
+def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch, tmp_path):
+    # the fixed points of a complement pair differ at every index: no witness
+    p = tmp_path / "complement.sub"
+    p.write_text("a -> abbaab\nb -> baabba\n")
+    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 5000)
+    horizons = []
+    scan = coincidence.find_strong_coincidence
+
+    def spy(x, y, horizon):
+        horizons.append(horizon)
+        return scan(x, y, horizon)
+
+    monkeypatch.setattr(coincidence, "find_strong_coincidence", spy)
+    argv = ["coincide", str(p), "--seeds", "a,b", "--deep", "--expect-witness", "--horizon"]
+    code, payload = _run_json(capsys, argv + ["100"])
+    assert code == 1 and horizons == [100, 5000]
+    sub = parse_substitution_spec(p.read_text()).substitution
+    expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 100, 5000)
+    assert expected.horizon == 5000 and expected.stabilized is True
+    assert payload["pairs"] == [{"seeds": ["a", "b"], "period": 1, **expected.to_json_dict()}]
+
+    horizons.clear()
+    code, payload = _run_json(capsys, argv + ["5000"])
+    assert code == 1 and horizons == [5000]
+    assert main(argv + ["0"]) == 2
+    assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+
+
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
     code, payload = _run_json(
         capsys,
@@ -285,6 +333,31 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
         capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", str(MATERIALIZE_CAP)]
     )
     assert code == 0 and payload["value"] == 4
+
+
+def test_numeration_cap_exits_2_before_building_the_graph(capsys, monkeypatch, fib_spec):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran past the cap")
+
+    over = NUMERATION_CAP + 1
+    with monkeypatch.context() as mp:
+        for name in ("build_prefix_graph", "enumerate_paths", "synchronizing_scan"):
+            mp.setattr(numeration, name, refuse)
+        assert main(["num", "list", fib_spec, "--start", "a", "--count", str(over)]) == 2
+        assert capsys.readouterr().err == f"error: --count {over} exceeds the cap of {NUMERATION_CAP} values\n"
+        assert main(["num", "sync", fib_spec, "--starts", "a,b", "--range", f"5:{5 + NUMERATION_CAP}"]) == 2
+        assert capsys.readouterr().err == f"error: --range width {over} exceeds the cap of {NUMERATION_CAP} values\n"
+    # the cap itself is accepted; the scans are stubbed so nothing that large runs
+    calls = []
+    monkeypatch.setattr(numeration, "enumerate_paths", lambda g, start, count: calls.append(count) or [])
+    monkeypatch.setattr(
+        numeration, "synchronizing_scan",
+        lambda g, a, b, value_range: calls.append(value_range) or SimpleNamespace(to_json_dict=dict),
+    )
+    assert main(["num", "list", fib_spec, "--start", "a", "--count", str(NUMERATION_CAP)]) == 0
+    assert main(["num", "sync", fib_spec, "--starts", "a,b", "--range", f"5:{4 + NUMERATION_CAP}"]) == 0
+    capsys.readouterr()
+    assert calls == [NUMERATION_CAP, (5, 4 + NUMERATION_CAP)]
 
 
 def test_bad_horizon_variable_only_breaks_commands_that_scan(capsys, monkeypatch, fib_spec, tm_spec):

@@ -6,6 +6,7 @@ from substrand import (
     CoincidenceWitness,
     FixedPointStream,
     InputError,
+    Substitution,
     abelianize,
     delta_sequence,
     delta_value_set,
@@ -123,3 +124,42 @@ def test_alphabet_mismatch_rejected(fibonacci, tribonacci):
     t = FixedPointStream(tribonacci, "a")
     with pytest.raises(InputError):
         find_strong_coincidence(x, t, 10)
+
+
+def test_one_letter_alphabet():
+    # every D_k is (0,): the witness is the first index with a nonempty prefix
+    x = FixedPointStream(Substitution({"a": "aa"}), "a")
+    assert delta_value_set(x, x, 10) == frozenset({(0,)})
+    witness = find_strong_coincidence(x, x, 10).witness
+    assert (witness.index, witness.letter, str(witness.prefix_x), str(witness.prefix_y)) == (1, "a", "a", "a")
+    verdict = find_strong_coincidence(x, x, 1)
+    assert verdict.witness is None
+    assert verdict.delta_values == frozenset({(0,)})
+    assert verdict.stabilized is False
+
+
+@pytest.mark.parametrize("cells", [8, 64, 1 << 19])
+@pytest.mark.parametrize("horizon", [1, 2, 50, 777, 20_000])
+@pytest.mark.parametrize("images", [("ab", "ba"), ("abbaab", "baabba")])
+def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon, images):
+    # the fixed points of a complement pair differ at every index: the scan reads
+    # every letter below the horizon, and the buffers stop within one image of it
+    from substrand import coincidence
+
+    monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
+    grows = []  # (letters held, letters asked for) of each call that grows a buffer
+    ensure = FixedPointStream._ensure
+
+    def spy(self, length):
+        if length > len(self._buf):
+            grows.append((len(self._buf), length))
+        return ensure(self, length)
+
+    monkeypatch.setattr(FixedPointStream, "_ensure", spy)
+    x, y = _streams(Substitution(dict(zip("ab", images))))
+    assert find_strong_coincidence(x, y, horizon).witness is None
+    for stream in (x, y):
+        assert horizon <= len(stream._buf) < horizon + len(images[0])
+    # the last growth of each stream starts from at most a quarter of the horizon,
+    # so little of the old buffer is alive while the new one fills
+    assert all(held <= horizon // 4 + len(images[0]) for held, _ in grows[-2:])

@@ -1,8 +1,9 @@
 """The numpy scans against the pure-Python loops in conftest.
 
 Random 2-4 letter substitutions with fixed points at ``a`` and ``b``, at
-horizons that straddle the block boundaries of the kernel and of the
-expansion, and one alphabet of more than 256 letters outside Latin-1.
+horizons that straddle the block boundaries of the kernel, of the expansion
+and of the occurrence scan, and one alphabet of more than 256 letters
+outside Latin-1.
 """
 
 import random
@@ -18,15 +19,19 @@ from substrand import (
     delta_sequence,
     delta_value_set,
     find_strong_coincidence,
+    max_return_gap,
     max_stable_delta_norm,
     occurrences,
     proximality_scan,
 )
-from substrand import coincidence, words
+from substrand import cli, coincidence, points, words
 from conftest import (
     oracle_agreement_runs,
+    oracle_deep_coincide,
     oracle_delta_sequence,
     oracle_longest_below,
+    oracle_max_return_gap,
+    oracle_occurrences,
     oracle_prefix,
     oracle_scan,
 )
@@ -101,6 +106,65 @@ def test_scans_match_oracles_on_random_substitutions(sub, horizon, block_cells):
         assert x.prefix_text(horizon) == oracle_prefix(sub, "a", horizon)
         _check_against_oracles(sub, x, y, horizon)
         _check_against_oracles(sub, x, x, horizon)
+
+
+def _check_deep_coincide(sub, horizon, cap):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "DEEP_HORIZON_CAP", cap)
+        verdict, period = cli._coincide_pair(sub, "a", "b", horizon, True)
+    expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), horizon, cap)
+    assert period == 1
+    assert verdict == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sub=seeded_pairs(),
+    cap=st.one_of(st.integers(1, 16), st.integers(1, 400)),
+    data=st.data(),
+    block_cells=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 19]),
+)
+def test_deep_coincide_matches_doubling_oracle(sub, cap, data, block_cells):
+    # start horizons on both sides of the cap, small ones often
+    horizon = data.draw(st.one_of(st.integers(1, 8), st.integers(1, cap + 20)), label="horizon")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coincidence, "_BLOCK_CELLS", block_cells)
+        mp.setattr(words, "_BLOCK_CELLS", block_cells)
+        _check_deep_coincide(sub, horizon, cap)
+
+
+def test_deep_coincide_at_small_horizons_and_caps(aab_ba):
+    # the witness is at k = 3: horizons and caps of 3 must not report it
+    for cap in range(1, 13):
+        for horizon in range(1, 15):
+            _check_deep_coincide(aab_ba, horizon, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sub=seeded_pairs(),
+    data=st.data(),
+    block_cells=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]),
+)
+def test_occurrences_match_oracles_on_random_substitutions(sub, data, block_cells):
+    horizon = data.draw(st.integers(1, 300), label="horizon")
+    text = oracle_prefix(sub, "a", horizon)
+    m = data.draw(st.integers(1, min(6, horizon)), label="factor length")
+    kind = data.draw(st.sampled_from(["random", "ends at horizon", "whole prefix"]), label="factor")
+    if kind == "random":
+        factor = "".join(data.draw(st.lists(st.sampled_from(sub.alphabet.letters), min_size=m, max_size=m)))
+    elif kind == "ends at horizon":
+        factor = text[horizon - m:]
+    else:
+        factor, horizon = text[:m], m
+    expected = oracle_occurrences(text[:horizon], factor)
+    if kind != "random":
+        assert expected[-1] == horizon - m
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_BLOCK_CELLS", block_cells)
+        occ = occurrences(FixedPointStream(sub, "a"), factor, horizon)
+    assert occ.positions == expected
+    assert max_return_gap(occ) == oracle_max_return_gap(expected)
 
 
 def test_scans_at_block_boundaries(aab_ba, monkeypatch):
