@@ -12,7 +12,6 @@ class InputError(SubstrandError, ValueError):
 class UnsupportedInputError(SubstrandError):
     """Raised for well-formed inputs outside the supported scope.
 
-    Examples: requesting the invariant splitting of a substitution that is
-    not irreducible Pisot, or an irreducibility test beyond the exhaustive
-    search degree cap.
+    Example: requesting the invariant splitting of a substitution that is
+    not irreducible Pisot.
     """

@@ -9,20 +9,22 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations, count, zip_longest
 
 import numpy as np
 
 from ._intmat import mat_mul
-from .errors import InputError, UnsupportedInputError
+from .errors import InputError
 from .words import Substitution
 
 PISOT_YES = "Yes"
 PISOT_NO = "No"
 PISOT_INDETERMINATE = "Indeterminate"
 
-_SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-_KRONECKER_DEGREE_CAP = 6
+_SCREEN_LIMIT = 31  # every prime up to here narrows the degree sets
 
 
 def abelianization_matrix(sub: Substitution) -> list[list[int]]:
@@ -155,35 +157,46 @@ def _integer_roots(poly: IntPolynomial) -> tuple[list[int], IntPolynomial]:
     while current.degree > 0 and current.coeffs[0] == 0:
         roots.append(0)
         current = IntPolynomial(current.coeffs[1:])
-    changed = True
-    while changed and current.degree > 0:
-        changed = False
-        constant = abs(current.coeffs[0])
-        for d in sorted(_divisors(constant)):
-            for candidate in (d, -d):
-                while current.degree > 0 and current(candidate) == 0:
-                    roots.append(candidate)
-                    current = current.deflate(candidate)
-                    changed = True
+    # every quotient's roots divide this constant and are roots of every
+    # earlier quotient, so one pass in divisor order finds them all
+    for d in sorted(_divisors(abs(current.coeffs[0]))):
+        for candidate in (d, -d):
+            while current.degree > 0 and current(candidate) == 0:
+                roots.append(candidate)
+                current = current.deflate(candidate)
     return roots, current
 
 
 def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            out.append(n // d)
-        d += 1
-    return out
+    return [k for d in range(1, math.isqrt(n) + 1) if n % d == 0 for k in (d, n // d)]
 
 
-def _poly_mod_p(coeffs: tuple[int, ...], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _squarefree_over_q(coeffs: tuple[int, ...]) -> bool:
+    """Whether gcd(f, f') is constant (Euclid on primitive pseudo-remainders)."""
+    a, b = list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]
+    while len(b) > 1:
+        r = a
+        while len(r) >= len(b):
+            shift, lead = len(r) - len(b), r[-1]
+            r = [c * b[-1] for c in r[:-1]]
+            for i, bi in enumerate(b[:-1]):
+                r[shift + i] -= lead * bi
+            r = _trim(r)
+        if r == [0]:
+            return False
+        g = math.gcd(*r)
+        a, b = b, [c // g for c in r]
+    return True
+
+
+# Polynomials modulo q are ascending coefficient lists without trailing zeros
+# (zero is [0]); a divisor needs a leading coefficient invertible mod q.
+
+
+def _trim(a: list[int]) -> list[int]:
+    while len(a) > 1 and a[-1] == 0:
+        a.pop()
+    return a
 
 
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
@@ -192,192 +205,153 @@ def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+    return _trim(out)
 
 
-def _pmod(a: list[int], m: list[int], p: int) -> list[int]:
+def _pdivmod(a: list[int], m: list[int], p: int) -> tuple[list[int], list[int]]:
     a = a[:]
     inv_lead = pow(m[-1], -1, p)
-    while len(a) >= len(m) and any(a):
-        if a[-1]:
-            factor = a[-1] * inv_lead % p
-            shift = len(a) - len(m)
-            for i, mi in enumerate(m):
-                a[shift + i] = (a[shift + i] - factor * mi) % p
-        a.pop()
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a or [0]
+    quotient = [0] * max(len(a) - len(m) + 1, 1)
+    for shift in range(len(a) - len(m), -1, -1):
+        factor = quotient[shift] = a[shift + len(m) - 1] * inv_lead % p
+        for i, mi in enumerate(m):
+            a[shift + i] = (a[shift + i] - factor * mi) % p
+    return _trim(quotient), _trim(a[: len(m) - 1] or [0])
+
 
 def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over the field with p elements."""
     while b != [0]:
-        a, b = b, _pmod(a, b, p)
-    return a
+        a, b = b, _pdivmod(a, b, p)[1]
+    inv_lead = pow(a[-1], -1, p)
+    return [c * inv_lead % p for c in a]
 
 
-def _ppow_x(exponent: int, modulus: list[int], p: int) -> list[int]:
-    """x**exponent mod (modulus, p) by square and multiply."""
+def _ppow(base: list[int], exponent: int, modulus: list[int], p: int) -> list[int]:
+    """base**exponent mod (modulus, p) by square and multiply."""
     result = [1]
-    base = _pmod([0, 1], modulus, p)
+    base = _pdivmod(base, modulus, p)[1]
     while exponent:
         if exponent & 1:
-            result = _pmod(_pmul(result, base, p), modulus, p)
-        base = _pmod(_pmul(base, base, p), modulus, p)
+            result = _pdivmod(_pmul(result, base, p), modulus, p)[1]
+        base = _pdivmod(_pmul(base, base, p), modulus, p)[1]
         exponent >>= 1
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _distinct_degree(f: list[int], p: int) -> list[tuple[int, list[int]]]:
+    """(d, product of the monic irreducible factors of degree d) for a monic
+    squarefree f over the field with p elements."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
         d += 1
-    if n > 1:
-        out.append(n)
+        h = _ppow(h, p, f, p)
+        g = _pgcd(f, _psub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((d, g))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    if len(f) > 1:
+        out.append((len(f) - 1, f))
     return out
 
 
-def _is_irreducible_mod_p(poly: IntPolynomial, p: int) -> bool:
-    """Rabin's irreducibility test over the field with p elements."""
-    f = _poly_mod_p(poly.coeffs, p)
-    n = len(f) - 1
-    if n != poly.degree:
-        return False  # leading coefficient collapsed (cannot happen: monic)
-    if n == 1:
-        return True
-    # squarefree screen
-    deriv = [(k * c) % p for k, c in enumerate(f)][1:]
-    while len(deriv) > 1 and deriv[-1] == 0:
-        deriv.pop()
-    if deriv == [0] or len(_pgcd(f, deriv or [0], p)) > 1:
-        return False
-    xpn = _ppow_x(p**n, f, p)
-    if xpn != _pmod([0, 1], f, p):
-        return False
-    for q in _prime_factors(n):
-        probe = _ppow_x(p ** (n // q), f, p)
-        probe = [(a - b) % p for a, b in _zip_pad(probe, [0, 1])]
-        while len(probe) > 1 and probe[-1] == 0:
-            probe.pop()
-        if len(_pgcd(f, probe, p)) > 1:
-            return False
-    return True
+def _equal_degree(g: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
+    """Cantor-Zassenhaus: the monic irreducible factors, all of degree d, of g
+    over the field with odd p elements."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        h = _pgcd(g, _psub(_ppow(a, (p**d - 1) // 2, g, p), [1], p), p)
+        if 1 < len(h) < len(g):
+            return _equal_degree(h, d, p, rng) + _equal_degree(_pdivmod(g, h, p)[0], d, p, rng)
 
 
-def _zip_pad(a: list[int], b: list[int]):
-    length = max(len(a), len(b))
-    return zip(a + [0] * (length - len(a)), b + [0] * (length - len(b)))
-
-
-def _kronecker_factor_exists(poly: IntPolynomial) -> bool:
-    """Exhaustive search for a monic integer factor of degree 1..deg/2.
-
-    Complete (Kronecker interpolation through divisors of sample values);
-    only called after rational roots have been divided out, so sample
-    values at integer points are nonzero.
-    """
-    from itertools import product
-
-    deg = poly.degree
-    for d in range(2, deg // 2 + 1):
-        points = _sample_points(d + 1)
-        values = [poly(t) for t in points]
-        divisor_lists = []
-        for v in values:
-            divisors = _divisors(abs(v))
-            divisor_lists.append([x for mag in divisors for x in (mag, -mag)])
-        for combo in product(*divisor_lists):
-            candidate = _interpolate_integer_poly(points, combo, d)
-            if candidate is None or candidate[-1] != 1:
-                continue
-            if _divides(candidate, poly):
-                return True
-    return False
-
-
-def _sample_points(count: int) -> list[int]:
-    pts = [0]
-    k = 1
-    while len(pts) < count:
-        pts.append(k)
-        if len(pts) < count:
-            pts.append(-k)
-        k += 1
-    return pts[:count]
-
-
-def _interpolate_integer_poly(points, values, degree):
-    from fractions import Fraction
-
-    coeffs = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for k in range(len(basis) - 1):
-                basis[k] -= xj * basis[k + 1]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k in range(len(basis)):
-            coeffs[k] += scale * basis[k]
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    while len(out) > degree + 1:
-        if out[-1] != 0:
-            return None
-        out.pop()
-    return out
+def _hensel_lift(f, factors: list[list[int]], p: int, bound: int) -> tuple[list[list[int]], int]:
+    """Lift f = prod(factors) mod p (monic, pairwise coprime, irreducible) to
+    f = prod(lifted) mod q for the first power q of p above 2 * bound, one
+    power of p per step."""
+    # a_i = (f / g_i)^-1 mod g_i, so sum_i a_i f / g_i = 1 mod p
+    fp = _trim([c % p for c in f])
+    inverses = [_ppow(_pdivmod(fp, g, p)[0], p ** (len(g) - 1) - 2, g, p) for g in factors]
+    lifted, q = [g[:] for g in factors], p
+    while q <= 2 * bound:
+        product = reduce(lambda a, g: _pmul(a, g, q * p), lifted, [1])
+        error = _trim([(c - e) % (q * p) // q for c, e in zip_longest(f, product, fillvalue=0)])
+        for i, (g, inverse) in enumerate(zip(factors, inverses)):
+            delta = _pdivmod(_pmul(inverse, error, p), g, p)[1]
+            lifted[i] = [c + q * e for c, e in zip_longest(lifted[i], delta, fillvalue=0)]
+        q *= p
+    return lifted, q
 
 
 def _divides(candidate: list[int], poly: IntPolynomial) -> bool:
-    # candidate monic integer; exact long division
+    """Exact long division over the integers by a monic candidate."""
     rem = list(poly.coeffs)
-    d = len(candidate) - 1
-    while len(rem) - 1 >= d:
-        lead = rem[-1]
-        shift = len(rem) - 1 - d
+    for shift in range(len(rem) - len(candidate), -1, -1):
+        lead = rem[shift + len(candidate) - 1]
         for i, c in enumerate(candidate):
             rem[shift + i] -= lead * c
-        rem.pop()
-    return all(c == 0 for c in rem)
+    return not any(rem)
 
 
 def is_irreducible(poly: IntPolynomial) -> bool:
-    """Irreducibility over the rationals for a monic integer polynomial.
+    """Irreducibility over the rationals for a monic integer polynomial, exact
+    at every degree (Berlekamp-Zassenhaus).
 
-    Strategy: rational-root extraction, then a mod-p irreducibility screen
-    (irreducible mod p implies irreducible over Q for monic polynomials),
-    then exhaustive Kronecker factor search up to degree 6.
+    A repeated factor (gcd(f, f') over Q) makes f reducible. Distinct-degree
+    factorization modulo each prime up to 31 where f stays squarefree bounds
+    the degrees a factor over Q can have (Musser's degree sets); when no
+    degree 1..deg-1 survives, f is irreducible. Otherwise the factors modulo
+    the odd prime with the fewest of them are split (Cantor-Zassenhaus),
+    Hensel-lifted past twice the Landau-Mignotte bound and recombined: f is
+    reducible exactly when a product of at most half of them, in symmetric
+    residues, divides f over the integers.
     """
-    deg = poly.degree
-    if deg <= 0:
+    n = poly.degree
+    if n <= 0:
         raise InputError("irreducibility needs degree >= 1")
-    if deg == 1:
-        return True
-    roots, _ = _integer_roots(poly)
-    if roots:
+    f = poly.coeffs
+    if not _squarefree_over_q(f):
         return False
-    for p in _SCREEN_PRIMES:
-        if _is_irreducible_mod_p(poly, p):
+    deriv = [k * c for k, c in enumerate(f)][1:]
+    degrees = (1 << n) - 2  # bit d set: a factor of degree d is still possible
+    best = None
+    for p in count(2):
+        if p > _SCREEN_LIMIT and best:
+            break
+        if any(p % k == 0 for k in range(2, math.isqrt(p) + 1)):
+            continue
+        fp = _trim([c % p for c in f])
+        dp = _trim([c % p for c in deriv])
+        if dp == [0] or len(_pgcd(fp, dp, p)) > 1:
+            continue
+        factors = _distinct_degree(fp, p)
+        parts = [d for d, g in factors for _ in range((len(g) - 1) // d)]
+        degrees &= reduce(lambda sums, d: sums | sums << d, parts, 1)
+        if not degrees:
             return True
-    if deg > _KRONECKER_DEGREE_CAP:
-        raise UnsupportedInputError(
-            f"irreducibility for degree {deg} > {_KRONECKER_DEGREE_CAP} is outside the "
-            "exhaustive-search scope and no modular screen certified it"
-        )
-    return not _kronecker_factor_exists(poly)
+        if p > 2 and (best is None or len(parts) < best[0]):  # splitting needs odd p
+            best = (len(parts), p, factors)
+    _, p, factors = best
+    rng = random.Random(0)
+    split = [h for d, g in factors for h in _equal_degree(g, d, p, rng)]
+    # Mignotte: a factor of degree m < n has |coefficient j| <= C(m, j) * |f|_2
+    bound = math.comb(n - 1, (n - 1) // 2) * (math.isqrt(sum(c * c for c in f)) + 1)
+    lifted, q = _hensel_lift(f, split, p, bound)
+    for size in range(1, len(lifted) // 2 + 1):
+        for subset in combinations(lifted, size):
+            if degrees >> sum(len(g) - 1 for g in subset) & 1:
+                product = reduce(lambda a, g: _pmul(a, g, q), subset, [1])
+                candidate = [c - q if c > q // 2 else c for c in product]
+                if _divides(candidate, poly):
+                    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +362,9 @@ def is_irreducible(poly: IntPolynomial) -> bool:
 class RootBound:
     """A root of the characteristic polynomial with a modulus certificate.
 
-    ``exact`` roots are rational and carry radius 0; numeric roots carry the
-    a-posteriori radius deg * |p(z)| / |p'(z)| guaranteeing a true root in
-    that disk.
+    ``exact`` roots are rational and carry radius 0; a numeric root z carries
+    a radius of at least deg * |p(z)| / |p'(z)|, evaluated exactly at the
+    float z, so the disk holds a true root; the modulus tests are exact too.
     """
 
     real: float
@@ -406,9 +380,12 @@ class RootBound:
             if self.modulus > 1:
                 return "outside"
             return "on-circle"
-        if self.modulus + self.radius < 1:
+        from fractions import Fraction
+
+        norm2 = Fraction(self.real) ** 2 + Fraction(self.imag) ** 2
+        if self.radius < 1 and norm2 < (1 - Fraction(self.radius)) ** 2:
             return "inside"
-        if self.modulus - self.radius > 1:
+        if self.radius < math.inf and norm2 > (1 + Fraction(self.radius)) ** 2:
             return "outside"
         return "unresolved"
 
@@ -434,6 +411,31 @@ def _newton_polish(poly: IntPolynomial, z: complex, steps: int = 12) -> complex:
     return z
 
 
+def _certified_radius(poly: IntPolynomial, z: complex) -> float:
+    """The smallest float r with r^2 >= deg^2 |p(z)|^2 / |p'(z)|^2, evaluated
+    exactly over the Gaussian rationals (z.real and z.imag are dyadic)."""
+    from fractions import Fraction
+
+    x, y = Fraction(z.real), Fraction(z.imag)
+
+    def norm2_at(coeffs):
+        re = im = Fraction(0)
+        for c in reversed(coeffs):
+            re, im = re * x - im * y + c, re * y + im * x
+        return re * re + im * im
+
+    slope = norm2_at([k * c for k, c in enumerate(poly.coeffs)][1:])
+    if slope == 0:
+        return math.inf
+    target = poly.degree**2 * norm2_at(poly.coeffs) / slope
+    r = math.sqrt(target)
+    while Fraction(r) ** 2 < target:
+        r = math.nextafter(r, math.inf)
+    while r > 0 and Fraction(math.nextafter(r, 0)) ** 2 >= target:
+        r = math.nextafter(r, 0)
+    return r
+
+
 def certified_roots(poly: IntPolynomial) -> list[RootBound]:
     """All roots: exact rational ones divided out first, the rest numeric
     (companion-matrix eigenvalues polished by Newton) with certified radii."""
@@ -445,11 +447,7 @@ def certified_roots(poly: IntPolynomial) -> list[RootBound]:
         raw = np.roots([float(c) for c in reversed(remainder.coeffs)])
         for z0 in raw:
             z = _newton_polish(remainder, complex(z0))
-            dp = remainder.derivative_at(z)
-            if dp == 0:
-                radius = math.inf
-            else:
-                radius = remainder.degree * abs(remainder(z)) / abs(dp)
+            radius = _certified_radius(remainder, z)
             bounds.append(RootBound(z.real, z.imag, abs(z), radius, False))
     bounds.sort(key=lambda b: (-b.modulus, b.real, b.imag))
     return bounds

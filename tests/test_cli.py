@@ -73,6 +73,19 @@ def test_classify_command(capsys, fib_spec):
     assert payload["irreducible_pisot"] is True
 
 
+def test_classify_decides_a_reducible_seven_letter_substitution(capsys, tmp_path):
+    # M = [[X, Y, z], [Y, X, z], [w, w, t]] with three letter pairs: the
+    # characteristic polynomial has degree 7 and factors with no rational root
+    spec = tmp_path / "seven.sub"
+    spec.write_text("a -> cgc\nb -> faggc\nc -> bbggf\nd -> ffg\ne -> ggdfc\nf -> geceg\ng -> cgeabfd\n")
+    code, payload = _run_json(capsys, ["classify", str(spec)])
+    assert code == 0
+    assert len(payload["characteristic_polynomial"]) == 8
+    assert payload["primitive"] is True
+    assert payload["irreducible"] is False
+    assert payload["irreducible_pisot"] is False
+
+
 def test_expand_command_text(capsys, fib_spec):
     code = main(["expand", fib_spec, "--seed", "a", "--length", "13", "--format", "text"])
     assert code == 0
@@ -374,7 +387,8 @@ def test_library_import_loads_neither_cli_nor_scipy():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys, substrand; "
-        "print(sorted(m for m in sys.modules if m == 'substrand.cli' or m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules"
+        " if m in ('substrand.cli', 'fractions') or m.split('.')[0] in ('scipy', 'sympy')))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)

@@ -1,11 +1,15 @@
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from substrand import (
     InputError,
     IntPolynomial,
+    PISOT_INDETERMINATE,
     PISOT_NO,
     PISOT_YES,
     Substitution,
@@ -15,7 +19,43 @@ from substrand import (
     is_irreducible,
     is_primitive,
     perron_data,
+    spectral,
 )
+from substrand.spectral import certified_roots
+
+LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
+SALEM_QUARTIC = IntPolynomial((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
+
+
+def _times(*factors):
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return IntPolynomial(out)
+
+
+def _sympy_irreducible(poly):
+    return bool(sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x")).is_irreducible)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"over the {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _random_substitution(rng, max_letters=4, max_image=4):
@@ -81,19 +121,65 @@ def test_irreducibility_matches_sympy_on_char_polys():
     for _ in range(60):
         sub = _random_substitution(rng)
         poly = characteristic_polynomial(abelianization_matrix(sub))
-        expected = sympy.Poly(list(reversed(poly.coeffs)), sympy.Symbol("x")).is_irreducible
-        assert is_irreducible(poly) == bool(expected)
+        expected = _sympy_irreducible(poly)
+        with _time_limit(2.0):
+            assert is_irreducible(poly) is expected
+
+
+# (coefficients ascending, irreducible over Q)
+_HARD_CASES = [
+    # x^4 + 1 and x^4 - 10x^2 + 1: irreducible yet reducible modulo every prime
+    ((1, 0, 0, 0, 1), True),
+    ((1, 0, -10, 0, 1), True),
+    # Swinnerton-Dyer for 2, 3, 5: degree 8, factors of degree <= 2 mod every prime
+    ((576, 0, -960, 0, 352, 0, -40, 0, 1), True),
+    # (x^2 + x + 1)^2: no rational root, and squarefree modulo no prime
+    ((1, 2, 3, 2, 1), False),
+    # (x^4 + 1)(x^4 - 10x^2 + 1): a factor only from pairs of modular factors
+    (_times((1, 0, 0, 0, 1), (1, 0, -10, 0, 1)).coeffs, False),
+    # degree 7 and 10 with no rational root
+    (_times((-1, -1, 0, 1), (-1, -1, 0, 0, 1)).coeffs, False),
+    (_times((-1, -1, 0, 1), (-1, -1, 0, 0, 1), (-1, -1, 0, 1)).coeffs, False),
+    (_times((-7, -10, 0, 1), (-13, 11, 0, 1)).coeffs, False),
+    # both factors have negative coefficients: only symmetric residues find them
+    (_times((-5, -3, 1), (-11, -7, -2, 1)).coeffs, False),
+    ((-1, -1, 1), True),
+    ((4, -5, 1), False),  # (x - 1)(x - 4)
+    ((0, 0, 1), False),  # x^2
+    ((-2, 1), True),
+]
 
 
 def test_irreducibility_hard_cases():
-    # squarefree-free square: (x^2 + x + 1)^2 has no rational roots,
-    # is never irreducible mod p, and needs the exhaustive factor search
-    assert is_irreducible(IntPolynomial((1, 2, 3, 2, 1))) is False
-    # x^4 + 1: irreducible over Q yet reducible modulo every prime
-    assert is_irreducible(IntPolynomial((1, 0, 0, 0, 1))) is True
-    assert is_irreducible(IntPolynomial((-1, -1, 1))) is True
-    assert is_irreducible(IntPolynomial((4, -5, 1))) is False  # (x-1)(x-4)
-    assert is_irreducible(IntPolynomial((-2, 1))) is True
+    for coeffs, irreducible in _HARD_CASES:
+        poly = IntPolynomial(coeffs)
+        assert _sympy_irreducible(poly) is irreducible, poly
+        with _time_limit(0.5):  # a search exponential in the degree fails here
+            assert is_irreducible(poly) is irreducible, poly
+
+
+@st.composite
+def _factor_products(draw):
+    """Products of 1-4 monic factors of degree 1-5 with coefficients within
+    +-50 and total degree <= 12; a factor may repeat an earlier one."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        if factors and draw(st.booleans()):
+            factor = draw(st.sampled_from(factors))
+        else:
+            degree = draw(st.integers(1, 5))
+            factor = tuple(draw(st.lists(st.integers(-50, 50), min_size=degree, max_size=degree))) + (1,)
+        if sum(len(f) - 1 for f in factors) + len(factor) - 1 <= 12:
+            factors.append(factor)
+    return _times(*factors)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_products())
+def test_irreducibility_matches_sympy_on_factor_products(poly):
+    expected = _sympy_irreducible(poly)
+    with _time_limit(2.0):
+        assert is_irreducible(poly) is expected
 
 
 def test_classify_fibonacci(fibonacci):
@@ -179,3 +265,36 @@ def test_report_json_round_trip(fibonacci):
     assert payload["characteristic_polynomial"] == [-1, -1, 1]
     assert payload["pisot_type"] == "Yes"
     assert payload["dilation"]["error_bound"] >= 0.0
+
+
+@pytest.mark.parametrize("poly", [LEHMER, SALEM_QUARTIC], ids=["lehmer", "salem-quartic"])
+def test_unit_circle_roots_stay_unresolved(poly, monkeypatch):
+    statuses = sorted(b.status_vs_unit_circle() for b in certified_roots(poly))
+    assert statuses == ["inside", "outside"] + ["unresolved"] * (poly.degree - 2)
+    # classify with this characteristic polynomial on a primitive matrix
+    monkeypatch.setattr(spectral, "characteristic_polynomial", lambda matrix: poly)
+    report = classify(Substitution({"a": "ab", "b": "a"}))
+    assert report.irreducible is True
+    assert report.pisot_type == PISOT_INDETERMINATE
+    assert report.irreducible_pisot is False
+
+
+def test_root_radii_cover_true_roots():
+    rng = random.Random(5)
+    polys = [LEHMER, SALEM_QUARTIC, _times((-1, -1, 0, 1), (-1, -1, 0, 0, 1))]
+    # p(z) rounds to 0.0 in floats at one root z, which is 3e-18 from the root
+    polys.append(IntPolynomial((-7, -56, -45, -20, 3, -4, 1)))
+    x = sympy.Symbol("x")
+    while len(polys) < 12:  # squarefree, so every numeric root is simple
+        poly = characteristic_polynomial(abelianization_matrix(_random_substitution(rng, 6, 5)))
+        if sympy.Poly(list(reversed(poly.coeffs)), x).is_sqf:
+            polys.append(poly)
+    for poly in polys:
+        reference = sympy.Poly(list(reversed(poly.coeffs)), x).nroots(n=50)
+        for b in certified_roots(poly):
+            if b.exact:
+                continue
+            z = sympy.Float(b.real, 60) + sympy.I * sympy.Float(b.imag, 60)
+            nearest = min(sympy.Abs(w - z).evalf(50) for w in reference)
+            assert nearest <= sympy.Float(b.radius, 60), (poly, b)
+            assert b.radius < 1e-9
