@@ -4,7 +4,8 @@ Rule files (conventionally ``.sub``) use the one-rule-per-line format of
 :func:`substrand.words.parse_substitution_spec`.
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
-analysis came back negative, 2 on input errors.
+analysis came back negative or when the reader closes stdout early (a broken
+pipe, reported by the exit code alone), 2 on input errors.
 
 The default scan horizon is 100000 and can be overridden with the
 ``SUBSTRAND_HORIZON`` environment variable or per-command flags. When no
@@ -460,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--seeds", default=None)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--deep", action="store_true", help="double the horizon up to 1e7")
+    p.add_argument("--deep", action="store_true", help="with no witness below the horizon, scan once more, to 1e7")
     p.add_argument("--expect-witness", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_coincide)
@@ -576,10 +577,17 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except SubstrandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so the
+        # interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -20,13 +20,11 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from ._intmat import MatrixPowers
 from .coincidence import CoincidenceWitness
 from .errors import InputError
-from .numeration import PathRepresentation
+from .numeration import PathRepresentation, build_prefix_graph, decode_path
 from .points import OccurrenceSet
-from .spectral import abelianization_matrix
-from .words import Substitution, Word, abelianize, apply_substitution
+from .words import Substitution, Word, apply_substitution
 
 SEARCHED = "searched"
 
@@ -129,18 +127,12 @@ def build_fs_family(
     first_b = image_c.indices.index(b_index)
     connector = image_c[:first_b]
 
-    powers = MatrixPowers(abelianization_matrix(sigma))
-    s_counts = abelianize(s)
-    r_counts = abelianize(connector)
+    graph = build_prefix_graph(sigma)
     empty = Word(alphabet)
-    generators = []
-    paths = []
-    for i in range(count):
-        value = powers.image_length(2 * i + 1, s_counts) + powers.image_length(
-            2 * i, r_counts
-        )
-        generators.append(value)
-        paths.append(PathRepresentation(a, (s, connector) + (empty,) * (2 * i)))
+    paths = [
+        PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count)
+    ]
+    generators = [decode_path(graph, p, materialize=False).value for p in paths]
     provenance = FsProvenance(
         power=chosen_power,
         prefix_x=s,

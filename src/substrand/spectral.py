@@ -40,20 +40,20 @@ def abelianization_matrix(sub: Substitution) -> list[list[int]]:
 def is_primitive(matrix: list[list[int]]) -> tuple[bool, int | None]:
     """Whether some power of the matrix is entrywise positive.
 
-    Checks exponents up to the Wielandt bound (n-1)^2 + 1 and returns the
-    smallest witnessing exponent, using boolean positivity patterns only.
+    Returns the smallest witnessing exponent, using boolean positivity
+    patterns only. The patterns of B^k are eventually periodic, so a pattern
+    seen before ends the search; the Wielandt bound (n-1)^2 + 1 caps it.
     """
     n = len(matrix)
-    bound = (n - 1) ** 2 + 1
-    base = [[e > 0 for e in row] for row in matrix]
-    pattern = base
-    for k in range(1, bound + 1):
-        if all(all(row) for row in pattern):
+    base = np.array([[e > 0 for e in row] for row in matrix])
+    pattern, seen = base, set()
+    for k in range(1, (n - 1) ** 2 + 2):
+        if pattern.all():
             return True, k
-        pattern = [
-            [any(pattern[i][t] and base[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        if pattern.tobytes() in seen:
+            break
+        seen.add(pattern.tobytes())
+        pattern = pattern @ base
     return False, None
 
 

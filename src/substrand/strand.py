@@ -97,9 +97,10 @@ class InvariantSplitting:
 
     ``projector_unstable`` projects onto the Perron line along the span of
     the remaining (generalized) eigendirections, ``projector_stable`` is its
-    complement, and ``stable_basis`` holds an orthonormal basis of the
-    contracting subspace for coordinate readouts. The readouts take one
-    vertex or a stack of vertices (one per row).
+    complement, and ``stable_basis`` holds an orthonormal basis of its range
+    for coordinate readouts: the Q factor of its first n - 1 columns, with
+    R's diagonal made positive. The readouts take one vertex or a stack of
+    vertices (one per row).
     """
 
     dilation: float
@@ -141,14 +142,15 @@ def invariant_splitting(
     """Spectral splitting for an irreducible Pisot classification.
 
     Refuses anything else: without a spectrum split cleanly by the unit
-    circle there is no contracting complement to project onto.
+    circle there is no contracting complement to project onto. The first
+    n - 1 columns of the stable projector span it (column j is e_j minus a
+    multiple of the positive Perron vector), so their QR factor is unique.
     """
     if not (report.irreducible_pisot and report.pisot_type == PISOT_YES):
         raise UnsupportedInputError(
             "invariant splitting needs an irreducible Pisot classification, got "
             f"pisot_type={report.pisot_type!r}, irreducible={report.irreducible!r}"
         )
-    from scipy.linalg import schur  # its only use: keeps scipy out of every start-up
     from .spectral import perron_data
 
     dilation, right, res_r = perron_data(matrix, tolerance)
@@ -159,17 +161,8 @@ def invariant_splitting(
     projector_u = np.outer(w, l) / float(l @ w)
     n = len(matrix)
     projector_s = np.eye(n) - projector_u
-
-    if n == 1:
-        basis = np.zeros((1, 0))
-    else:
-        m = np.array(matrix, dtype=float)
-        _, z, sdim = schur(m, output="real", sort="iuc")
-        if sdim != n - 1:
-            raise UnsupportedInputError(
-                "stable subspace dimension mismatch; spectrum too close to the unit circle"
-            )
-        basis = z[:, :sdim]
+    q, r = np.linalg.qr(projector_s[:, : n - 1])
+    basis = q * np.sign(np.diag(r))
 
     splitting = InvariantSplitting(
         dilation=dilation,

@@ -54,6 +54,24 @@ def oracle_prefix(sub, seed, length, period=1):
     return str(word)[:length]
 
 
+def oracle_is_primitive(matrix):
+    """(primitive, least exponent) by boolean products of B^k with B for every
+    k up to the Wielandt bound (n-1)^2 + 1: the loop the library ran before
+    it stopped at a repeated pattern."""
+    n = len(matrix)
+    bound = (n - 1) ** 2 + 1
+    base = [[e > 0 for e in row] for row in matrix]
+    pattern = base
+    for k in range(1, bound + 1):
+        if all(all(row) for row in pattern):
+            return True, k
+        pattern = [
+            [any(pattern[i][t] and base[t][j] for t in range(n)) for j in range(n)]
+            for i in range(n)
+        ]
+    return False, None
+
+
 # Pure-Python scans over plain lists of letter indices: the loops the library
 # ran before its numpy kernels, kept as references for them.
 

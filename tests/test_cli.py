@@ -393,3 +393,44 @@ def test_library_import_loads_neither_cli_nor_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_strand_commands_run_without_scipy(tmp_path):
+    spec = tmp_path / "tri.sub"
+    spec.write_text("a -> ab\nb -> ac\nc -> a\n")
+    csv, svg = tmp_path / "scan.csv", tmp_path / "tile.svg"
+    probe = (
+        "import sys\n"
+        "class RefuseScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ImportError('scipy refused')\n"
+        "sys.meta_path.insert(0, RefuseScipy())\n"
+        "from substrand.cli import main\n"
+        f"codes = [main(['strand', 'export', {str(spec)!r}, '--iterations', '6',"
+        f" '--csv', {str(csv)!r}, '--svg', {str(svg)!r}]),"
+        f" main(['strand', 'scan', {str(spec)!r}, '--iterations', '6'])]\n"
+        "print(codes, file=sys.stderr)\n"
+        "sys.exit(max(codes))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.strip() == "[0, 0]"
+    assert csv.read_text().startswith("iteration,v0,v1,v2,type,expanding_coefficient,s0,s1\n")
+    assert svg.read_text().endswith("</svg>\n")
+
+
+def test_closed_stdout_exits_quietly(fib_spec):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # about 440 kB of output: more than a pipe buffer holds, so the writer
+    # meets the closed pipe
+    argv = [sys.executable, "-m", "substrand", "num", "list", fib_spec, "--start", "a", "--count", "10000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -1,5 +1,6 @@
 import random
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -22,6 +23,7 @@ from substrand import (
     spectral,
 )
 from substrand.spectral import certified_roots
+from conftest import oracle_is_primitive
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 SALEM_QUARTIC = IntPolynomial((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
@@ -79,6 +81,35 @@ def test_primitivity(fibonacci):
     assert is_primitive([[1, 0], [1, 1]]) == (False, None)
     assert is_primitive([[1, 2], [3, 4]]) == (True, 1)
     assert is_primitive([[3]]) == (True, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_primitivity_matches_full_loop(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    # mostly zeros, so that reducible and periodic patterns turn up
+    entry = st.sampled_from([0, 0, 0, 0, 1, 2])
+    matrix = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert is_primitive(matrix) == oracle_is_primitive(matrix)
+
+
+def test_primitivity_of_long_cycle_stops_at_repeat():
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    rules = {a: letters[(i + 1) % 26] for i, a in enumerate(letters)}
+    matrix = abelianization_matrix(Substitution(rules))
+    start = time.perf_counter()
+    assert is_primitive(matrix) == (False, None)
+    assert time.perf_counter() - start < 0.25
+    # one extra letter in one image makes the cycle primitive, late
+    rules["a"] = "ab"
+    assert is_primitive(abelianization_matrix(Substitution(rules))) == (True, 50)
+
+
+def test_primitivity_exponent_reaches_wielandt_bound():
+    # Wielandt's matrix: the n-cycle plus one chord, exponent (n-1)^2 + 1
+    for n in range(2, 8):
+        matrix = [[int(j == (i + 1) % n or (i, j) == (n - 1, 1)) for j in range(n)] for i in range(n)]
+        assert is_primitive(matrix) == oracle_is_primitive(matrix) == (True, (n - 1) ** 2 + 1)
 
 
 def test_characteristic_polynomials(fibonacci, tribonacci, thue_morse):

@@ -4,11 +4,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from substrand import (
     FixedPointStream,
     InputError,
+    Substitution,
     UnsupportedInputError,
     Word,
     abelianization_matrix,
@@ -135,8 +136,69 @@ def test_splitting_projector_identities(fibonacci, tribonacci, aab_ba):
         assert np.abs(m @ sp.expanding_direction - sp.dilation * sp.expanding_direction).max() < 1e-7
 
 
+@st.composite
+def _pisot_substitutions(draw):
+    """Substitutions on 2-4 letters with an irreducible Pisot classification."""
+    letters = "abcd"[: draw(st.integers(2, 4))]
+    image = st.text(alphabet=letters, min_size=1, max_size=4)
+    sub = Substitution({a: draw(image) for a in letters})
+    assume(classify(sub).irreducible_pisot)
+    return sub
+
+
+def _left_perron(matrix):
+    """The left Perron vector from numpy's dense eigensolver."""
+    values, vectors = np.linalg.eig(matrix.T)
+    left = vectors[:, np.argmax(values.real)].real
+    return left / np.linalg.norm(left)
+
+
+def _stable_span_projector(matrix):
+    """Orthogonal projector onto the span of the real and imaginary parts of
+    the eigenvectors whose eigenvalues lie inside the unit circle."""
+    values, vectors = np.linalg.eig(matrix)
+    inside = vectors[:, np.abs(values) < 1]
+    u, _, _ = np.linalg.svd(np.hstack([inside.real, inside.imag]))
+    span = u[:, : len(matrix) - 1]
+    return span @ span.T
+
+
+def _check_stable_basis(sub):
+    sp = _splitting(sub)
+    m = np.array(abelianization_matrix(sub), dtype=float)
+    n = len(m)
+    b = sp.stable_basis
+    assert b.shape == (n, n - 1)
+    assert np.abs(b.T @ b - np.eye(n - 1)).max(initial=0.0) < 1e-12
+    assert np.abs(sp.projector_stable @ b - b).max() < 1e-12
+    # the Perron vectors come from power iteration stopped at a residual of
+    # tolerance * dilation, so whatever rests on them holds to about that
+    perron = 1e2 * sp.tolerance * sp.dilation
+    assert np.abs(_left_perron(m) @ b).max(initial=0.0) < perron
+    image = m @ b
+    assert np.abs(image - b @ (b.T @ image)).max(initial=0.0) < perron
+    assert np.abs(b @ b.T - _stable_span_projector(m)).max() < perron
+    # the columns are the Gram-Schmidt basis of P_s's first n - 1 columns:
+    # B^T P_s[:, :n-1] is R, upper triangular with a positive diagonal
+    r = b.T @ sp.projector_stable[:, : n - 1]
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) < 1e-12
+    assert (np.diag(r) > 0).all()
+
+
+def test_stable_basis_properties(fibonacci, tribonacci, aab_ba):
+    for sub in (fibonacci, tribonacci, aab_ba):
+        _check_stable_basis(sub)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sub=_pisot_substitutions())
+def test_stable_basis_properties_random(sub):
+    _check_stable_basis(sub)
+
+
 def test_splitting_dimensions(tribonacci):
     assert _splitting(tribonacci).stable_dimension == 2
+    assert _splitting(Substitution({"a": "aaa"})).stable_basis.shape == (1, 0)
 
 
 def test_splitting_rejects_non_pisot(thue_morse):
