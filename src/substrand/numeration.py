@@ -48,33 +48,27 @@ class PrefixGraph:
     Out-edges of a vertex are ordered by label length (0, 1, 2, ...), one
     edge per occurrence, so labels at a vertex have pairwise distinct
     lengths; this is what makes the path order total.
+
+    Edges are read off the images when asked for, never stored: the labels
+    of an image of length L hold L(L-1)/2 letters in all, while a path
+    only ever needs one label per step.
     """
 
     def __init__(self, sub: Substitution):
         self.substitution = sub
         self.alphabet = sub.alphabet
-        edges: list[tuple[PrefixEdge, ...]] = []
-        for a in sub.alphabet:
-            image = sub.image(a)
-            edges.append(
-                tuple(
-                    PrefixEdge(a, image[k], image[:k])
-                    for k in range(len(image))
-                )
-            )
-        self._edges = tuple(edges)
         self._powers = MatrixPowers(abelianization_matrix(sub))
 
     def out_edges(self, vertex: str) -> tuple[PrefixEdge, ...]:
-        return self._edges[self.alphabet.index(vertex)]
+        image = self.substitution.image(vertex)
+        return tuple(PrefixEdge(vertex, image[k], image[:k]) for k in range(len(image)))
 
-    def edge_for_label(self, vertex: str, label: Word) -> PrefixEdge:
-        """The unique out-edge with this label, or an input error."""
-        candidates = self._edges[self.alphabet.index(vertex)]
-        if len(label) < len(candidates):
-            edge = candidates[len(label)]
-            if edge.label == label:
-                return edge
+    def edge_target(self, vertex: str, label: Word) -> str:
+        """Target of the unique out-edge with this label, or an input error."""
+        image = self.substitution.image_indices(self.alphabet.index(vertex))
+        k = len(label)
+        if k < len(image) and label.alphabet == self.alphabet and image[:k] == label.indices:
+            return self.alphabet.letters[image[k]]
         raise InputError(
             f"no edge labeled {str(label)!r} at vertex {vertex!r}"
         )
@@ -102,7 +96,7 @@ class PrefixGraph:
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.alphabet.letters),
-            "edges": [e.to_json_dict() for group in self._edges for e in group],
+            "edges": [e.to_json_dict() for a in self.alphabet for e in self.out_edges(a)],
         }
 
     def __repr__(self) -> str:
@@ -169,9 +163,8 @@ def decode_path(
     n = len(path.labels) - 1
     value = 0
     for i, label in enumerate(path.labels):
-        edge = g.edge_for_label(vertex, label)
+        vertex = g.edge_target(vertex, label)
         value += g.weight(n - i, label)
-        vertex = edge.target
     realized = None
     if materialize and value <= realize_cap:
         word = Word(g.alphabet)

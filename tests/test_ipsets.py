@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from substrand import (
@@ -36,6 +38,25 @@ def test_family_from_witness(pair_witness):
     # each generator is an occurrence of the target letter, by expansion
     text = x.prefix_text(max(family.generators) + 2)
     assert all(text[n] == "b" for n in family.generators)
+
+
+def test_family_from_deep_witness_stays_small():
+    # the witness sits at index 1070 and embeds at power 5, where the image
+    # of a has 6327 letters: a table of all its prefixes would take ~170 MB
+    sub = Substitution({"a": "aaaaabb", "b": "ba"})
+    x = FixedPointStream(sub, "a")
+    witness = find_strong_coincidence(x, FixedPointStream(sub, "b"), 5000).witness
+    assert witness.index == 1070
+    tracemalloc.start()
+    try:
+        family = build_fs_family(sub, witness, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert family.provenance.power == 5
+    assert family.generators[0] == 5146340
+    assert x.prefix_text(family.generators[0] + 1)[family.generators[0]] == "b"
 
 
 def test_family_count_zero(pair_witness):

@@ -1,8 +1,8 @@
 import random
 import signal
-import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -93,13 +93,36 @@ def test_primitivity_matches_full_loop(data):
     assert is_primitive(matrix) == oracle_is_primitive(matrix)
 
 
-def test_primitivity_of_long_cycle_stops_at_repeat():
+class _CountingArray(np.ndarray):
+    products = 0
+
+    def __matmul__(self, other):
+        _CountingArray.products += 1
+        return super().__matmul__(other)
+
+
+class _CountingNumpy:
+    """numpy, except that arrays count their matrix products."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def array(*args, **kwargs):
+        return np.array(*args, **kwargs).view(_CountingArray)
+
+
+def test_primitivity_of_long_cycle_stops_at_repeat(monkeypatch):
     letters = "abcdefghijklmnopqrstuvwxyz"
     rules = {a: letters[(i + 1) % 26] for i, a in enumerate(letters)}
     matrix = abelianization_matrix(Substitution(rules))
-    start = time.perf_counter()
+    monkeypatch.setattr(spectral, "np", _CountingNumpy())
+    monkeypatch.setattr(_CountingArray, "products", 0)
     assert is_primitive(matrix) == (False, None)
-    assert time.perf_counter() - start < 0.25
+    # B^1..B^26 are the 26 distinct powers of the cycle and B^27 = B repeats;
+    # the Wielandt bound alone would allow 626
+    assert _CountingArray.products == 26
+    monkeypatch.undo()
     # one extra letter in one image makes the cycle primitive, late
     rules["a"] = "ab"
     assert is_primitive(abelianization_matrix(Substitution(rules))) == (True, 50)
