@@ -20,6 +20,11 @@ the expansion early.
 is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
 --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
 exits 2 before the prefix automaton is built.
+
+Without ``--horizon``, ``ipset verify`` expands far enough to check every
+subset sum, but no further than ``MATERIALIZE_CAP`` letters (or the default
+horizon, if that is larger); sums past it come back ``unchecked`` with
+verdict ``incomplete``. An explicit ``--horizon`` is not capped.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ def _parse_seeds(value: str) -> tuple[str, str]:
 
 def _cmd_classify(args) -> int:
     spec = _load_spec(args.spec)
-    report = spectral.classify(spec.substitution, tolerance=args.tolerance)
+    report = spectral.classify(spec.substitution)
     payload = report.to_json_dict()
     lines = [f"{key}: {json.dumps(value, sort_keys=True)}" for key, value in sorted(payload.items())]
     _emit(args, payload, "\n".join(lines))
@@ -221,6 +226,8 @@ def _cmd_coincide(args) -> int:
 
 
 def _cmd_num_graph(args) -> int:
+    if args.weights is not None and args.weights < 0:
+        raise InputError(f"--weights must be >= 0, got {args.weights}")
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     if args.weights is not None:
@@ -333,9 +340,9 @@ def _cmd_ipset_verify(args) -> int:
     if args.horizon is not None:
         horizon = args.horizon
     else:
-        # default horizon covers the largest sum so every subset is checkable
+        # default horizon covers the largest sum, up to MATERIALIZE_CAP letters
         largest = sum(family.generators) if family.generators else 1
-        horizon = max(_default_horizon(), largest + len(factor) + 1)
+        horizon = max(_default_horizon(), min(largest + len(factor) + 1, MATERIALIZE_CAP))
     occ = points.occurrences(stream, factor, horizon)
     verification = ipsets.verify_finite_sums(occ=occ, family=family, max_subset_size=args.max_subset_size)
     _emit(args, verification.to_json_dict(), verification.to_text())
@@ -360,9 +367,9 @@ def _cmd_ipset_search(args) -> int:
 def _strand_ingredients(args):
     spec = _load_spec(args.spec)
     sub = spec.substitution
-    report = spectral.classify(sub, tolerance=args.tolerance)
+    report = spectral.classify(sub)
     matrix = spectral.abelianization_matrix(sub)
-    splitting = strand_mod.invariant_splitting(report, matrix, tolerance=args.tolerance)
+    splitting = strand_mod.invariant_splitting(report, matrix)
     if args.seed_word:
         word = sub.alphabet.word(args.seed_word)
     else:
@@ -420,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="spectral classification report")
     p.add_argument("spec")
-    p.add_argument("--tolerance", type=float, default=1e-10)
     _add_common(p)
     p.set_defaults(handler=_cmd_classify)
 
@@ -523,7 +529,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--max-subset-size", type=int, default=3)
     p.add_argument("--horizon", type=int, default=None,
-                   help="default: large enough to check every subset sum")
+                   help="default: large enough to check every subset sum, "
+                        "capped at MATERIALIZE_CAP letters")
     p.add_argument("--expect-pass", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_ipset_verify)
@@ -545,7 +552,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--seed-word", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     _add_common(p)
     p.set_defaults(handler=_cmd_strand_scan)
 
@@ -553,7 +559,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--seed-word", default=None)
-    p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
     _add_common(p)

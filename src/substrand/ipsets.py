@@ -27,6 +27,8 @@ from .points import OccurrenceSet
 from .words import Substitution, Word, apply_substitution
 
 SEARCHED = "searched"
+# highest power of the substitution tried for embedding a witness
+POWER_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -82,11 +84,10 @@ def build_fs_family(
     sub: Substitution,
     witness: CoincidenceWitness,
     count: int,
-    power_cap: int = 8,
 ) -> FsFamily:
     """Generators n_i from a validated strong-coincidence witness.
 
-    The power of the substitution is raised (up to power_cap) until the
+    The power of the substitution is raised (up to POWER_CAP) until the
     witness prefixes followed by the shared letter are prefixes of the two
     seed images and the target letter occurs in the shared letter's image;
     the first such occurrence fixes the connector word.
@@ -106,7 +107,7 @@ def build_fs_family(
     b_index = alphabet.index(b)
 
     chosen_power = None
-    for m in range(1, power_cap + 1):
+    for m in range(1, POWER_CAP + 1):
         image_a = apply_substitution(sub, a, m)
         image_b = apply_substitution(sub, b, m)
         image_c = apply_substitution(sub, c, m)
@@ -119,7 +120,7 @@ def build_fs_family(
             break
     if chosen_power is None:
         raise InputError(
-            f"no power <= {power_cap} embeds the witness; raise power_cap"
+            f"no power of the substitution up to {POWER_CAP} embeds the witness"
         )
 
     sigma = sub.power(chosen_power)

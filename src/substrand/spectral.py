@@ -453,29 +453,23 @@ def certified_roots(poly: IntPolynomial) -> list[RootBound]:
     return bounds
 
 
-def perron_data(matrix: list[list[int]], tolerance: float = 1e-10) -> tuple[float, tuple[float, ...], float]:
-    """Perron eigenvalue and unit positive right eigenvector by power iteration.
+def perron_data(matrix: list[list[int]]) -> tuple[float, tuple[float, ...], float]:
+    """Perron eigenvalue and unit positive right eigenvector from one dense
+    eigensolve.
 
-    Returns (eigenvalue, vector, residual) where residual = ||Mw - lw||_2;
-    iteration stops once the residual falls below tolerance * eigenvalue.
+    The Perron root is the eigenvalue of largest real part: for a primitive
+    matrix it is real, simple and strictly dominant, and its eigenvector is
+    positive up to sign. Returns (eigenvalue, vector, residual) where
+    residual = ||Mw - lw||_2.
     """
     m = np.array(matrix, dtype=float)
-    n = m.shape[0]
-    v = np.ones(n) / math.sqrt(n)
-    eigenvalue = 0.0
-    for _ in range(100_000):
-        mv = m @ v
-        norm = np.linalg.norm(mv)
-        if norm == 0:
-            raise InputError("matrix maps the positive cone to zero")
-        v = mv / norm
-        eigenvalue = float(v @ (m @ v))
-        residual = float(np.linalg.norm(m @ v - eigenvalue * v))
-        if residual <= tolerance * max(1.0, abs(eigenvalue)):
-            break
-    else:
-        raise ArithmeticError("power iteration did not reach the requested tolerance")
-    v = np.abs(v)
+    values, vectors = np.linalg.eig(m)
+    k = int(np.argmax(values.real))
+    eigenvalue = float(values[k].real)
+    if eigenvalue <= 0:
+        raise InputError("matrix has no positive Perron root")
+    v = np.abs(vectors[:, k].real)
+    residual = float(np.linalg.norm(m @ v - eigenvalue * v))
     return eigenvalue, tuple(float(x) for x in v), residual
 
 
@@ -523,7 +517,7 @@ class ClassificationReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-def classify(sub: Substitution, tolerance: float = 1e-10) -> ClassificationReport:
+def classify(sub: Substitution) -> ClassificationReport:
     """Full spectral classification: primitivity, irreducibility, Pisot verdict.
 
     The Pisot verdict is Yes when exactly one root of the characteristic
@@ -533,8 +527,6 @@ def classify(sub: Substitution, tolerance: float = 1e-10) -> ClassificationRepor
     cannot be separated from 1 within its certificate, the verdict is
     Indeterminate rather than a guess.
     """
-    if tolerance <= 0:
-        raise InputError("tolerance must be positive")
     matrix = abelianization_matrix(sub)
     primitive, exponent = is_primitive(matrix)
     poly = characteristic_polynomial(matrix)
@@ -545,7 +537,7 @@ def classify(sub: Substitution, tolerance: float = 1e-10) -> ClassificationRepor
     bounds = certified_roots(poly)
     dominant = bounds[0]
     dilation = dominant.modulus
-    _, vector, residual = perron_data(matrix, tolerance)
+    _, vector, residual = perron_data(matrix)
 
     outside = [b for b in bounds if b.status_vs_unit_circle() == "outside"]
     unresolved = [b for b in bounds if b.status_vs_unit_circle() == "unresolved"]

@@ -20,12 +20,16 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import spectral
 from .coincidence import _delta_blocks
 from .errors import InputError, UnsupportedInputError
-from .spectral import ClassificationReport, PISOT_YES
+from .spectral import ClassificationReport, PISOT_YES, abelianization_matrix
 from .words import FixedPointStream, Substitution, Word, apply_substitution
 
 _INT64 = np.iinfo(np.int64)
+# largest deviation of the projectors from idempotence and complementarity,
+# relative to their scale, that invariant_splitting accepts
+_PROJECTOR_CHECK = 1e-6
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -82,8 +86,6 @@ def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
     (M origin, sub(word)) for the count matrix M."""
     if sub.alphabet != strand.word.alphabet:
         raise InputError("substitution and strand alphabets differ")
-    from .spectral import abelianization_matrix
-
     origin = tuple(
         sum(m * o for m, o in zip(row, strand.origin))
         for row in abelianization_matrix(sub)
@@ -95,12 +97,14 @@ def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
 class InvariantSplitting:
     """Expanding line / contracting hyperplane splitting of the count matrix.
 
-    ``projector_unstable`` projects onto the Perron line along the span of
-    the remaining (generalized) eigendirections, ``projector_stable`` is its
-    complement, and ``stable_basis`` holds an orthonormal basis of its range
-    for coordinate readouts: the Q factor of its first n - 1 columns, with
-    R's diagonal made positive. The readouts take one vertex or a stack of
-    vertices (one per row).
+    The right and left Perron vectors come from one dense eigensolve each
+    (:func:`substrand.spectral.perron_data`); ``residual`` is the larger of
+    their residuals. ``projector_unstable`` projects onto the Perron line
+    along the span of the remaining (generalized) eigendirections,
+    ``projector_stable`` is its complement, and ``stable_basis`` holds an
+    orthonormal basis of its range for coordinate readouts: the Q factor of
+    its first n - 1 columns, with R's diagonal made positive. The readouts
+    take one vertex or a stack of vertices (one per row).
     """
 
     dilation: float
@@ -109,7 +113,6 @@ class InvariantSplitting:
     stable_basis: np.ndarray
     projector_unstable: np.ndarray
     projector_stable: np.ndarray
-    tolerance: float
 
     @property
     def stable_dimension(self) -> int:
@@ -137,7 +140,6 @@ def _matvecs(matrix: np.ndarray, vectors) -> np.ndarray:
 def invariant_splitting(
     report: ClassificationReport,
     matrix: list[list[int]],
-    tolerance: float = 1e-9,
 ) -> InvariantSplitting:
     """Spectral splitting for an irreducible Pisot classification.
 
@@ -151,11 +153,9 @@ def invariant_splitting(
             "invariant splitting needs an irreducible Pisot classification, got "
             f"pisot_type={report.pisot_type!r}, irreducible={report.irreducible!r}"
         )
-    from .spectral import perron_data
-
-    dilation, right, res_r = perron_data(matrix, tolerance)
+    dilation, right, res_r = spectral.perron_data(matrix)
     transpose = [list(row) for row in zip(*matrix)]
-    _, left, res_l = perron_data(transpose, tolerance)
+    _, left, res_l = spectral.perron_data(transpose)
     w = np.array(right)
     l = np.array(left)
     projector_u = np.outer(w, l) / float(l @ w)
@@ -171,19 +171,16 @@ def invariant_splitting(
         stable_basis=basis,
         projector_unstable=projector_u,
         projector_stable=projector_s,
-        tolerance=tolerance,
     )
-    # post-hoc sanity: idempotence and complementarity within tolerance
+    # post-hoc sanity: idempotence and complementarity
     scale = max(1.0, float(np.abs(projector_u).max()))
     checks = (
         np.abs(projector_u @ projector_u - projector_u).max(),
         np.abs(projector_s @ projector_s - projector_s).max(),
         np.abs(projector_u + projector_s - np.eye(n)).max(),
     )
-    if max(checks) > 1e3 * tolerance * scale:
-        raise ArithmeticError(
-            f"projector checks exceeded tolerance: {checks}"
-        )
+    if max(checks) > _PROJECTOR_CHECK * scale:
+        raise ArithmeticError(f"projector checks failed: {checks}")
     return splitting
 
 
@@ -203,7 +200,7 @@ class StabilityScan:
     empirical_radius: float
     conjugation_max_error: float
     translation_samples: tuple[float, ...]
-    strands: tuple[Strand, ...] | None
+    strands: tuple[Strand, ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -233,8 +230,6 @@ def _conjugation_error(
     translating the inflated strand by dilation * offset."""
     if not len(strand) or not offsets:
         return 0.0
-    from .spectral import abelianization_matrix
-
     matrix = np.array(abelianization_matrix(sub), dtype=float)
     w = splitting.expanding_direction
     lam = splitting.dilation
@@ -268,7 +263,6 @@ def stability_scan(
     splitting: InvariantSplitting,
     burn_in: int = 3,
     translation_samples: Sequence[float] = (0.5, 1.25, 2.0),
-    keep_strands: bool = True,
 ) -> StabilityScan:
     """Iterate the inflation and record stable-norm envelopes.
 
@@ -296,7 +290,7 @@ def stability_scan(
         empirical_radius=radius,
         conjugation_max_error=err,
         translation_samples=tuple(translation_samples),
-        strands=tuple(strands) if keep_strands else None,
+        strands=tuple(strands),
     )
 
 
@@ -327,8 +321,6 @@ def max_stable_delta_norm(
 def write_scan_csv(scan: StabilityScan, splitting: InvariantSplitting, out: TextIO) -> int:
     """One row per segment: iteration, vertex, type, expanding coefficient,
     stable coordinates. Returns the number of rows written."""
-    if scan.strands is None:
-        raise InputError("scan was run with keep_strands=False")
     n = splitting.projector_stable.shape[0]
     k = splitting.stable_dimension
     header = (

@@ -300,9 +300,9 @@ class FixedPointStream:
         self.substitution = substitution
         self.seed = seed
         self.period = period
-        self._working = substitution.power(period)
+        working = substitution.power(period)
         seed_index = substitution.alphabet.index(seed)
-        image = self._working.image_indices(seed_index)
+        image = working.image_indices(seed_index)
         if image[0] != seed_index or len(image) < 2:
             raise InputError(
                 f"{seed!r} is not a periodic seed of period {period}: "
@@ -310,7 +310,7 @@ class FixedPointStream:
                 f"must start with {seed!r} and have length > 1"
             )
         dtype = np.min_scalar_type(len(substitution.alphabet) - 1)
-        images = self._working._images
+        images = working._images
         self._image_letters = np.array([i for im in images for i in im], dtype=dtype)
         self._image_lengths = np.array([len(im) for im in images], dtype=np.intp)
         self._image_starts = np.cumsum(self._image_lengths) - self._image_lengths
@@ -319,10 +319,6 @@ class FixedPointStream:
     @property
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
-
-    @property
-    def working_substitution(self) -> Substitution:
-        return self._working
 
     def _ensure(self, length: int) -> None:
         buf = self._buf

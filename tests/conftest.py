@@ -72,6 +72,23 @@ def oracle_is_primitive(matrix):
     return False, None
 
 
+def oracle_perron_data(matrix, tolerance=1e-10, steps=100_000):
+    """(eigenvalue, unit positive vector, residual) by power iteration from
+    the normalized all-ones vector, stopped once the residual falls below
+    tolerance * max(1, eigenvalue): the loop the library ran before its
+    dense eigensolve. None when it does not get there within ``steps``."""
+    m = np.array(matrix, dtype=float)
+    v = np.ones(len(m)) / np.sqrt(len(m))
+    for _ in range(steps):
+        mv = m @ v
+        v = mv / np.linalg.norm(mv)
+        eigenvalue = float(v @ (m @ v))
+        residual = float(np.linalg.norm(m @ v - eigenvalue * v))
+        if residual <= tolerance * max(1.0, abs(eigenvalue)):
+            return eigenvalue, np.abs(v), residual
+    return None
+
+
 # Pure-Python scans over plain lists of letter indices: the loops the library
 # ran before its numpy kernels, kept as references for them.
 

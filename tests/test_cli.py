@@ -142,6 +142,13 @@ def test_num_weights_csv(capsys, fib_spec):
     assert "a,a,3,5" in lines  # third image of 'a' has length 5
 
 
+def test_num_weights_rejects_negative_levels(capsys, fib_spec):
+    assert main(["num", "graph", fib_spec, "--weights", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --weights must be >= 0, got -1\n"
+
+
 def test_num_sync(capsys, tmp_path):
     p = tmp_path / "two.sub"
     p.write_text("a -> aab\nb -> bbaab\n")
@@ -346,6 +353,35 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
         capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", str(MATERIALIZE_CAP)]
     )
     assert code == 0 and payload["value"] == 4
+
+
+def test_ipset_verify_default_horizon_stops_at_the_materialize_cap(capsys, monkeypatch, pair_spec):
+    """Generators 23 and 1097: the default horizon would cover 1122 letters,
+    the cap holds it to 500, so the two larger sums come back unchecked."""
+    lengths = []
+    prefix_indices = FixedPointStream.prefix_indices
+
+    def spy(self, length):
+        lengths.append(length)
+        return prefix_indices(self, length)
+
+    monkeypatch.setattr(FixedPointStream, "prefix_indices", spy)
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 500)
+    monkeypatch.setenv("SUBSTRAND_HORIZON", "50")
+    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--count", "2", "--max-subset-size", "2"]
+    code, payload = _run_json(capsys, argv + ["--expect-pass"])
+    assert code == 1 and payload["verdict"] == "incomplete"
+    assert payload["horizon"] == 500 and max(lengths) == 500
+    assert payload["unchecked"] == [[[1097], 1097], [[23, 1097], 1120]]
+    # an explicit --horizon is not capped
+    code, payload = _run_json(capsys, argv + ["--horizon", "2000", "--expect-pass"])
+    assert code == 0 and payload["verdict"] == "pass" and max(lengths) == 2000
+
+
+@pytest.mark.parametrize("command", [["classify"], ["strand", "scan"], ["strand", "export"]])
+def test_tolerance_flag_is_gone(capsys, fib_spec, command):
+    assert main([*command, fib_spec, "--tolerance", "1e-9"]) == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
 
 
 def test_numeration_cap_exits_2_before_building_the_graph(capsys, monkeypatch, fib_spec):

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from substrand import (
     InputError,
@@ -23,7 +23,7 @@ from substrand import (
     spectral,
 )
 from substrand.spectral import certified_roots
-from conftest import oracle_is_primitive
+from conftest import oracle_is_primitive, oracle_perron_data
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 SALEM_QUARTIC = IntPolynomial((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
@@ -300,15 +300,47 @@ def test_root_moduli_product_matches_determinant():
 
 
 def test_perron_data_tolerance():
-    eigenvalue, vector, residual = perron_data([[1, 1], [1, 0]], tolerance=1e-12)
-    assert abs(eigenvalue - 1.6180339887498949) < 1e-10
+    eigenvalue, vector, residual = perron_data([[1, 1], [1, 0]])
+    assert abs(eigenvalue - 1.6180339887498949) < 1e-15
     assert residual <= 1e-12 * max(1.0, eigenvalue)
     assert all(x > 0 for x in vector)
 
 
-def test_classify_rejects_bad_tolerance(fibonacci):
-    with pytest.raises(InputError):
-        classify(fibonacci, tolerance=0.0)
+def test_perron_data_refuses_a_matrix_without_positive_root():
+    for matrix in ([[0, 0], [0, 0]], [[0, 1], [0, 0]]):
+        with pytest.raises(InputError, match="Perron root"):
+            perron_data(matrix)
+
+
+def test_classify_large_diagonal_pair():
+    """a -> a^40000 bb, b -> a b^40000: eigenvalues 40000 +- sqrt 2, so their
+    ratio is 1 - 7e-5 and a power iteration gains one digit per 3e4 steps."""
+    k = 40_000
+    sub = Substitution({"a": "a" * k + "bb", "b": "a" + "b" * k})
+    report = classify(sub)
+    assert report.primitive and report.pisot_type == PISOT_NO
+    assert abs(report.dilation - (k + 2 ** 0.5)) < 1e-9 * k
+    assert report.perron_residual <= 1e-12 * report.dilation
+    assert np.allclose(report.perron_vector, np.array([1, 2 ** 0.5]) / 3 ** 0.5, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_perron_data_matches_power_iteration(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    entry = st.sampled_from([0, 0, 1, 1, 2, 3])
+    matrix = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(is_primitive(matrix)[0])
+    oracle = oracle_perron_data(matrix, steps=20_000)
+    assume(oracle is not None)
+    eigenvalue, vector, residual = perron_data(matrix)
+    w = np.array(vector)
+    assert abs(eigenvalue - oracle[0]) <= 1e-9 * eigenvalue
+    assert np.abs(w - oracle[1]).max() <= 1e-7
+    assert (w > 0).all() and abs(np.linalg.norm(w) - 1) < 1e-14
+    assert residual <= 1e-12 * eigenvalue
+    m = np.array(matrix, dtype=float)
+    assert residual == pytest.approx(float(np.linalg.norm(m @ w - eigenvalue * w)), abs=1e-15)
 
 
 def test_report_json_round_trip(fibonacci):

@@ -37,8 +37,8 @@ from conftest import (
 
 
 @functools.lru_cache(maxsize=None)
-def _splitting(sub, tolerance=1e-9):
-    return invariant_splitting(classify(sub), abelianization_matrix(sub), tolerance)
+def _splitting(sub):
+    return invariant_splitting(classify(sub), abelianization_matrix(sub))
 
 
 def _segments(strand):
@@ -171,9 +171,9 @@ def _check_stable_basis(sub):
     assert b.shape == (n, n - 1)
     assert np.abs(b.T @ b - np.eye(n - 1)).max(initial=0.0) < 1e-12
     assert np.abs(sp.projector_stable @ b - b).max() < 1e-12
-    # the Perron vectors come from power iteration stopped at a residual of
-    # tolerance * dilation, so whatever rests on them holds to about that
-    perron = 1e2 * sp.tolerance * sp.dilation
+    # the Perron vectors come from a dense eigensolve, accurate to a few
+    # rounding errors of the dilation; whatever rests on them holds to that
+    perron = 1e-12 * sp.dilation
     assert np.abs(_left_perron(m) @ b).max(initial=0.0) < perron
     image = m @ b
     assert np.abs(image - b @ (b.T @ image)).max(initial=0.0) < perron
