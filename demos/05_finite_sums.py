@@ -3,9 +3,10 @@
 From the coincidence witness of the binary Pisot pair, the path construction
 produces generators 23 and 1097; the automaton path picture guarantees not
 just the generators but every sum of distinct generators is an occurrence of
-the target letter, which the verifier re-checks against a plainly expanded
-prefix. A backtracking search then finds small generator families directly
-inside the Fibonacci occurrence set, with all subset sums re-verified.
+the target letter, which the verifier re-checks letter by letter, reading each
+letter off the prefix automaton without expanding the fixed point. A
+backtracking search then finds small generator families directly inside the
+Fibonacci occurrence set, with all subset sums re-verified.
 """
 
 from substrand import (
@@ -38,8 +39,9 @@ def main():
         print(f"  path {path.to_json_dict()['labels']} decodes to {decode_path(graph, path, materialize=False).value} = {value}")
 
     horizon = sum(family.generators) + 2
-    occ = occurrences(x, "b", horizon)
-    verification = verify_finite_sums(family, occ, max_subset_size=3)
+    verification = verify_finite_sums(
+        family, build_prefix_graph(pair), "a", "b", horizon, max_subset_size=3
+    )
     print(f"all subset sums up to size 3 below horizon {horizon}: {verification.verdict}")
     print()
 
@@ -54,7 +56,7 @@ def main():
         for mask in range(1, 8)
     )
     print("its 7 subset sums:", sums)
-    print("verified:", verify_finite_sums(found, occ_a, 3).verdict)
+    print("verified:", verify_finite_sums(found, build_prefix_graph(fib), "a", "a", 20, 3).verdict)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from .numeration import (
     encode_integer,
     enumerate_paths,
     format_path,
+    letter_at,
     parse_path,
     synchronizing_scan,
 )
@@ -103,7 +104,7 @@ __all__ = [
     "delta_value_set",
     "PrefixGraph", "PrefixEdge", "PathRepresentation", "DecodedValue",
     "SynchronizingScan", "build_prefix_graph", "decode_path", "encode_integer",
-    "enumerate_paths", "synchronizing_scan", "format_path", "parse_path",
+    "enumerate_paths", "letter_at", "synchronizing_scan", "format_path", "parse_path",
     "FsFamily", "FsProvenance", "FsVerification", "build_fs_family",
     "verify_finite_sums", "search_ip_witness",
     "Strand", "InvariantSplitting", "StabilityScan",

@@ -5,7 +5,8 @@ Rule files (conventionally ``.sub``) use the one-rule-per-line format of
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative or when the reader closes stdout early (a broken
-pipe, reported by the exit code alone), 2 on input errors.
+pipe, reported by the exit code alone), 2 on input errors and on output paths
+that cannot be written.
 
 The default scan horizon is 100000 and can be overridden with the
 ``SUBSTRAND_HORIZON`` environment variable or per-command flags. When no
@@ -20,11 +21,6 @@ the expansion early.
 is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
 --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
 exits 2 before the prefix automaton is built.
-
-Without ``--horizon``, ``ipset verify`` expands far enough to check every
-subset sum, but no further than ``MATERIALIZE_CAP`` letters (or the default
-horizon, if that is larger); sums past it come back ``unchecked`` with
-verdict ``incomplete``. An explicit ``--horizon`` is not capped.
 """
 
 from __future__ import annotations
@@ -314,7 +310,7 @@ def _cmd_ipset_build(args) -> int:
 def _cmd_ipset_verify(args) -> int:
     spec = _load_spec(args.spec)
     sub = spec.substitution
-    witness_horizon = _horizon(args)
+    horizon = _horizon(args)
     if args.generators:
         if not args.seed or not args.factor:
             raise InputError("--generators needs --seed and --factor")
@@ -323,28 +319,25 @@ def _cmd_ipset_verify(args) -> int:
         except ValueError:
             raise InputError(f"--generators expects integers, got {args.generators!r}")
         family = ipsets.FsFamily(generators, ipsets.SEARCHED)
-        stream = _stream(sub, args.seed)
+        start, period = _seed_with_period(sub, args.seed)
         factor = args.factor
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
-        a, b = _parse_seeds(args.seeds)
-        x, y, period = _stream_pair(sub, a, b)
-        verdict = coin.find_strong_coincidence(x, y, witness_horizon)
+        start, b = _parse_seeds(args.seeds)
+        x, y, period = _stream_pair(sub, start, b)
+        verdict = coin.find_strong_coincidence(x, y, horizon)
         if not verdict.found:
             _emit(args, {"witness": None, "verdict": "no-witness"})
             return 1
         family = ipsets.build_fs_family(sub.power(period), verdict.witness, args.count)
-        stream = x
         factor = family.provenance.target_letter
-    if args.horizon is not None:
-        horizon = args.horizon
-    else:
-        # default horizon covers the largest sum, up to MATERIALIZE_CAP letters
-        largest = sum(family.generators) if family.generators else 1
-        horizon = max(_default_horizon(), min(largest + len(factor) + 1, MATERIALIZE_CAP))
-    occ = points.occurrences(stream, factor, horizon)
-    verification = ipsets.verify_finite_sums(occ=occ, family=family, max_subset_size=args.max_subset_size)
+    if args.horizon is None:  # cover the largest sum, so that every sum is checked
+        horizon = max(horizon, sum(family.generators) + len(factor) + 1)
+    graph = numeration.build_prefix_graph(sub.power(period))
+    verification = ipsets.verify_finite_sums(
+        family, graph, start, factor, horizon, args.max_subset_size
+    )
     _emit(args, verification.to_json_dict(), verification.to_text())
     if args.expect_pass and verification.verdict != "pass":
         return 1
@@ -529,8 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--max-subset-size", type=int, default=3)
     p.add_argument("--horizon", type=int, default=None,
-                   help="default: large enough to check every subset sum, "
-                        "capped at MATERIALIZE_CAP letters")
+                   help="default: large enough to check every subset sum")
     p.add_argument("--expect-pass", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_ipset_verify)
@@ -593,6 +585,9 @@ def main(argv=None) -> int:
         # interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

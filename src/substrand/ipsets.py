@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .coincidence import CoincidenceWitness
 from .errors import InputError
-from .numeration import PathRepresentation, build_prefix_graph, decode_path
+from .numeration import PathRepresentation, PrefixGraph, build_prefix_graph, decode_path, letter_at
 from .points import OccurrenceSet
 from .words import Substitution, Word, apply_substitution
 
@@ -67,6 +67,8 @@ class FsFamily:
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.generators, self.generators[1:])):
             raise InputError("generators must be strictly increasing")
+        if any(g < 0 for g in self.generators):
+            raise InputError("generators must be >= 0")
 
     def to_json_dict(self) -> dict:
         prov = (
@@ -106,22 +108,14 @@ def build_fs_family(
     tc = t + alphabet.word(c)
     b_index = alphabet.index(b)
 
-    chosen_power = None
-    for m in range(1, POWER_CAP + 1):
-        image_a = apply_substitution(sub, a, m)
-        image_b = apply_substitution(sub, b, m)
-        image_c = apply_substitution(sub, c, m)
-        if (
-            image_a.startswith(sc)
-            and image_b.startswith(tc)
-            and b_index in image_c.indices
-        ):
-            chosen_power = m
+    for chosen_power in range(1, POWER_CAP + 1):
+        image_a = apply_substitution(sub, a, chosen_power)
+        image_b = apply_substitution(sub, b, chosen_power)
+        image_c = apply_substitution(sub, c, chosen_power)
+        if image_a.startswith(sc) and image_b.startswith(tc) and b_index in image_c.indices:
             break
-    if chosen_power is None:
-        raise InputError(
-            f"no power of the substitution up to {POWER_CAP} embeds the witness"
-        )
+    else:
+        raise InputError(f"no power of the substitution up to {POWER_CAP} embeds the witness")
 
     sigma = sub.power(chosen_power)
     image_c = sigma.image(c)
@@ -149,9 +143,9 @@ def build_fs_family(
 
 @dataclass(frozen=True)
 class FsVerification:
-    """Outcome of testing subset sums of a family against an occurrence set.
+    """Outcome of testing subset sums of a family for occurrences of a factor.
 
-    Sums that do not fit below the occurrence horizon are reported as
+    Sums whose occurrence would not fit below the horizon are reported as
     unchecked, never as failures; the verdict is ``pass`` only when every
     subset up to the size bound was checked and none failed.
     """
@@ -201,13 +195,25 @@ class FsVerification:
 
 
 def verify_finite_sums(
-    family: FsFamily, occ: OccurrenceSet, max_subset_size: int
+    family: FsFamily, graph: PrefixGraph, start: str, factor: Word | str, horizon: int,
+    max_subset_size: int,
 ) -> FsVerification:
-    """Test every nonempty subset (up to the size bound) for membership."""
+    """Test every nonempty subset (up to the size bound) for an occurrence.
+
+    Sum t is an occurrence when the letters at t, t + 1, ... of the fixed
+    point at ``start`` spell the factor; each is read off the prefix automaton
+    (:func:`letter_at`), so nothing is expanded. Sums past horizon - |factor|
+    are reported unchecked, as for a prefix of length ``horizon``.
+    """
+    factor = graph.alphabet.word(factor)
+    if len(factor) == 0:
+        raise InputError("factor must be nonempty")
+    if horizon < len(factor):
+        raise InputError("horizon must be at least the factor length")
     if max_subset_size < 1:
         raise InputError("max_subset_size must be >= 1")
-    positions = set(occ.positions)
-    fit = occ.horizon - len(occ.factor)
+    graph.require_seed(start)
+    fit = horizon - len(factor)
     failures = []
     unchecked = []
     for size in range(1, min(max_subset_size, len(family.generators)) + 1):
@@ -215,22 +221,12 @@ def verify_finite_sums(
             total = sum(subset)
             if total > fit:
                 unchecked.append((subset, total))
-            elif total not in positions:
+            elif any(letter_at(graph, start, total + i) != c for i, c in enumerate(str(factor))):
                 failures.append((subset, total))
-    if failures:
-        verdict = "fail"
-    elif unchecked:
-        verdict = "incomplete"
-    else:
-        verdict = "pass"
+    verdict = "fail" if failures else "incomplete" if unchecked else "pass"
     return FsVerification(
-        family=family,
-        factor=occ.factor,
-        horizon=occ.horizon,
-        max_subset_size=max_subset_size,
-        failures=tuple(failures),
-        unchecked=tuple(unchecked),
-        verdict=verdict,
+        family=family, factor=factor, horizon=horizon, max_subset_size=max_subset_size,
+        failures=tuple(failures), unchecked=tuple(unchecked), verdict=verdict,
     )
 
 

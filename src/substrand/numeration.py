@@ -218,6 +218,13 @@ def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation
     return PathRepresentation(start, tuple(labels))
 
 
+def letter_at(g: PrefixGraph, start: str, value: int) -> str:
+    """Letter x_v of the fixed point at the seed, v = ``value``: the path of v
+    ends at x_v (Dumont & Thomas, Theor. Comput. Sci. 65, 1989), so reading
+    it costs one encode of O(log v) steps and expands nothing."""
+    return decode_path(g, encode_integer(g, start, value), materialize=False).terminal
+
+
 def enumerate_paths(g: PrefixGraph, start: str, count: int) -> list[PathRepresentation]:
     """The first ``count`` paths at the seed in the total path order.
 

@@ -399,8 +399,8 @@ class RootBound:
         }
 
 
-def _newton_polish(poly: IntPolynomial, z: complex, steps: int = 12) -> complex:
-    for _ in range(steps):
+def _newton_polish(poly: IntPolynomial, z: complex) -> complex:
+    for _ in range(12):
         dp = poly.derivative_at(z)
         if dp == 0:
             return z

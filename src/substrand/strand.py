@@ -30,6 +30,9 @@ _INT64 = np.iinfo(np.int64)
 # largest deviation of the projectors from idempotence and complementarity,
 # relative to their scale, that invariant_splitting accepts
 _PROJECTOR_CHECK = 1e-6
+_BURN_IN = 3  # inflations skipped before the empirical radius is read
+# side of the square SVG canvas, its margin, and the radius of each point
+_SVG_SIZE, _SVG_MARGIN, _SVG_POINT_RADIUS = 800, 40.0, 1.5
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -261,7 +264,6 @@ def stability_scan(
     seed: Strand,
     iterations: int,
     splitting: InvariantSplitting,
-    burn_in: int = 3,
     translation_samples: Sequence[float] = (0.5, 1.25, 2.0),
 ) -> StabilityScan:
     """Iterate the inflation and record stable-norm envelopes.
@@ -278,7 +280,7 @@ def stability_scan(
         current = substitute_strand(sub, current)
         strands.append(current)
         envelopes.append(_stable_envelope(current, splitting))
-    start = min(burn_in, iterations)
+    start = min(_BURN_IN, iterations)
     radius = max(envelopes[start:])
     err = max(
         _conjugation_error(sub, seed, splitting, translation_samples),
@@ -286,7 +288,7 @@ def stability_scan(
     )
     return StabilityScan(
         envelopes=tuple(envelopes),
-        burn_in=burn_in,
+        burn_in=_BURN_IN,
         empirical_radius=radius,
         conjugation_max_error=err,
         translation_samples=tuple(translation_samples),
@@ -348,9 +350,6 @@ def write_stable_scatter_svg(
     strand: Strand,
     splitting: InvariantSplitting,
     out: TextIO,
-    size: int = 800,
-    margin: float = 40.0,
-    point_radius: float = 1.5,
 ) -> int:
     """Scatter of the first two stable coordinates of a strand's vertices.
 
@@ -363,18 +362,18 @@ def write_stable_scatter_svg(
     points[:, : coords.shape[1]] = coords
     types = strand.word.indices + strand.word.indices[-1:]
     out.write(
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
-        f'width="{size}" height="{size}">\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}" '
+        f'width="{_SVG_SIZE}" height="{_SVG_SIZE}">\n'
     )
-    out.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
+    out.write(f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>\n')
     if len(points):
         low = points.min(axis=0)
         span = max(float((points.max(axis=0) - low).max()), 1e-12)
-        scaled = (points - low) * ((size - 2 * margin) / span)
-        xs = (margin + scaled[:, 0]).tolist()
-        ys = (size - margin - scaled[:, 1]).tolist()
+        scaled = (points - low) * ((_SVG_SIZE - 2 * _SVG_MARGIN) / span)
+        xs = (_SVG_MARGIN + scaled[:, 0]).tolist()
+        ys = (_SVG_SIZE - _SVG_MARGIN - scaled[:, 1]).tolist()
         out.writelines(
-            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius}" '
+            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{_SVG_POINT_RADIUS}" '
             f'fill="{_PALETTE[letter_index % len(_PALETTE)]}" fill-opacity="0.8"/>\n'
             for px, py, letter_index in zip(xs, ys, types)
         )

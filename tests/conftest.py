@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -159,6 +160,23 @@ def oracle_occurrences(text, needle):
         positions.append(start)
         start = text.find(needle, start + 1)
     return tuple(positions)
+
+
+def oracle_verify_finite_sums(generators, occ, max_subset_size):
+    """(failures, unchecked) of every nonempty subset up to the size bound, by
+    membership of its sum in an expanded occurrence set: the verifier's body
+    before it read letters off the prefix automaton."""
+    positions = set(occ.positions)
+    fit = occ.horizon - len(occ.factor)
+    failures, unchecked = [], []
+    for size in range(1, min(max_subset_size, len(generators)) + 1):
+        for subset in combinations(generators, size):
+            total = sum(subset)
+            if total > fit:
+                unchecked.append((subset, total))
+            elif total not in positions:
+                failures.append((subset, total))
+    return tuple(failures), tuple(unchecked)
 
 
 def oracle_max_return_gap(positions):

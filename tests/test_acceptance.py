@@ -242,8 +242,7 @@ def test_criterion_6_ip():
     assert family.generators[1] == expected_n1 == 1097
 
     horizon = sum(family.generators) + 2
-    occ = occurrences(x, "b", horizon)
-    verification = verify_finite_sums(family, occ, 2)
+    verification = verify_finite_sums(family, build_prefix_graph(pair), "a", "b", horizon, 2)
     assert verification.verdict == "pass"
 
     fib = Substitution(FIBONACCI)
@@ -251,7 +250,7 @@ def test_criterion_6_ip():
     focc = occurrences(fx, "a", 20)
     searched = search_ip_witness(focc, 3)
     assert searched is not None and len(searched.generators) == 3
-    check = verify_finite_sums(searched, focc, 3)
+    check = verify_finite_sums(searched, build_prefix_graph(fib), "a", "a", 20, 3)
     assert check.verdict == "pass"
     assert len(check.failures) == 0 and len(check.unchecked) == 0
 

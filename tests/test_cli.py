@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from substrand import FixedPointStream, InputError, cli, coincidence, numeration
+from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points
 from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main, parse_substitution_spec
 from conftest import oracle_deep_coincide
 
@@ -355,9 +355,10 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
     assert code == 0 and payload["value"] == 4
 
 
-def test_ipset_verify_default_horizon_stops_at_the_materialize_cap(capsys, monkeypatch, pair_spec):
-    """Generators 23 and 1097: the default horizon would cover 1122 letters,
-    the cap holds it to 500, so the two larger sums come back unchecked."""
+def test_ipset_verify_reads_letters_without_a_position_set(capsys, monkeypatch, tmp_path, pair_spec):
+    """Without --horizon all 15 sums of the abb/ba pair, up to 772299000, are
+    checked, and nothing is expanded past the witness scan; an explicit
+    --horizon still leaves the sums past it unchecked."""
     lengths = []
     prefix_indices = FixedPointStream.prefix_indices
 
@@ -365,17 +366,51 @@ def test_ipset_verify_default_horizon_stops_at_the_materialize_cap(capsys, monke
         lengths.append(length)
         return prefix_indices(self, length)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a position set")
+
     monkeypatch.setattr(FixedPointStream, "prefix_indices", spy)
-    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 500)
-    monkeypatch.setenv("SUBSTRAND_HORIZON", "50")
-    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--count", "2", "--max-subset-size", "2"]
+    monkeypatch.setattr(points, "occurrences", refuse)
+    spec = tmp_path / "abb.sub"
+    spec.write_text("a -> abb\nb -> ba\n")
+    argv = ["ipset", "verify", str(spec), "--seeds", "a,b", "--count", "4", "--max-subset-size", "4"]
     code, payload = _run_json(capsys, argv + ["--expect-pass"])
-    assert code == 1 and payload["verdict"] == "incomplete"
-    assert payload["horizon"] == 500 and max(lengths) == 500
-    assert payload["unchecked"] == [[[1097], 1097], [[23, 1097], 1120]]
-    # an explicit --horizon is not capped
-    code, payload = _run_json(capsys, argv + ["--horizon", "2000", "--expect-pass"])
-    assert code == 0 and payload["verdict"] == "pass" and max(lengths) == 2000
+    assert code == 0 and payload["verdict"] == "pass" and payload["unchecked"] == []
+    assert payload["family"]["generators"] == [99, 19601, 3880899, 768398401]
+    assert payload["horizon"] == 772299002 and max(lengths) == cli.DEFAULT_HORIZON
+    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--count", "3",
+            "--max-subset-size", "2", "--horizon", "2000", "--expect-pass"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 1 and payload["verdict"] == "incomplete" and payload["failures"] == []
+    assert payload["unchecked"] == [[[51536], 51536], [[23, 51536], 51559], [[1097, 51536], 52633]]
+
+
+def test_ipset_verify_on_period_two_seeds(capsys, tmp_path):
+    # a -> b, b -> ab has seeds of period 2: letters are read off the square
+    spec = tmp_path / "swap.sub"
+    spec.write_text("a -> b\nb -> ab\n")
+    argv = ["ipset", "verify", str(spec), "--seeds", "a,b", "--count", "3", "--expect-pass"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and payload["family"]["generators"] == [13, 610, 28657]
+    # the fixed points at a and b begin abbab and babab
+    argv = ["ipset", "verify", str(spec), "--generators", "0,1,3", "--seed", "b", "--factor", "b"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and payload["failures"] == [[[1], 1], [[3], 3], [[0, 1], 1], [[0, 3], 3]]
+
+
+def test_ipset_verify_rejects_negative_generators(capsys, pair_spec):
+    argv = ["ipset", "verify", pair_spec, "--generators=-3,5", "--seed", "a", "--factor", "b"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: generators must be >= 0\n"
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv", "--svg"])
+def test_unwritable_output_path_exits_2(capsys, tmp_path, fib_spec, flag):
+    target = str(tmp_path / "missing" / "out")
+    command = ["classify"] if flag == "--output" else ["strand", "export"]
+    assert main([*command, fib_spec, flag, target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", [["classify"], ["strand", "scan"], ["strand", "export"]])

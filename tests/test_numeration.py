@@ -13,6 +13,7 @@ from substrand import (
     encode_integer,
     enumerate_paths,
     format_path,
+    letter_at,
     list_periodic_seeds,
     parse_path,
     synchronizing_scan,
@@ -142,6 +143,25 @@ def test_round_trip_and_prefix_law(fibonacci):
         assert decoded.value == value
         assert str(decoded.realized) == prefix[:value]
         assert decoded.terminal == prefix[value]
+
+
+@pytest.mark.parametrize(
+    "rules, seed, period",
+    [
+        ({"a": "ab", "b": "a"}, "a", 1),
+        ({"a": "aab", "b": "ba"}, "a", 1),
+        ({"a": "aab", "b": "ba"}, "b", 1),
+        ({"a": "b", "b": "ab"}, "a", 2),
+    ],
+)
+def test_letter_at_reads_the_expanded_prefix(rules, seed, period):
+    sub = Substitution(rules)
+    graph = build_prefix_graph(sub.power(period))
+    prefix = FixedPointStream(sub, seed, period).prefix_text(10_000)
+    assert "".join(letter_at(graph, seed, v) for v in range(10_000)) == prefix
+    if period > 1:
+        with pytest.raises(InputError, match="period-1 seed"):
+            letter_at(build_prefix_graph(sub), seed, 0)
 
 
 def test_round_trip_fuzz_random_substitutions():
