@@ -18,7 +18,7 @@ from substrand import (
 
 def main():
     fib = Substitution({"a": "ab", "b": "a"})
-    print("periodic seeds of Fibonacci:", list_periodic_seeds(fib, 4))
+    print("periodic seeds of Fibonacci:", list_periodic_seeds(fib))
     x = FixedPointStream(fib, "a")
     print("prefix of length 34:", x.prefix_text(34))
     print()
@@ -42,8 +42,8 @@ def main():
     # a letter with a two-step seed: the working substitution is the square
     swap = Substitution({"a": "b", "b": "ab"})
     print()
-    print("seeds of a->b, b->ab:", list_periodic_seeds(swap, 4))
-    stream = FixedPointStream(swap, "a", period=2)
+    print("seeds of a->b, b->ab:", list_periodic_seeds(swap))
+    stream = FixedPointStream(swap, "a")
     print("period-2 point at 'a':", stream.prefix_text(30))
 
 

@@ -1,7 +1,15 @@
 """Command-line surface: load rule files, run analyses, emit JSON/CSV/SVG.
 
 Rule files (conventionally ``.sub``) use the one-rule-per-line format of
-:func:`substrand.words.parse_substitution_spec`.
+:func:`substrand.words.parse_substitution_spec`. A seed's period is its
+least period, found from the rules by :func:`substrand.words.seed_period`
+(at most the alphabet size).
+
+Output is JSON; ``--format text`` gives the plain rendering and is taken
+only by the subcommands that have one: ``classify``, ``expand``,
+``occurrences``, ``gaps``, ``num encode``, ``num decode``, ``num list`` and
+``ipset verify``. ``ipset verify --seeds`` takes the seed and factor from
+the witness and refuses ``--seed`` and ``--factor``.
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative or when the reader closes stdout early (a broken
@@ -44,7 +52,6 @@ DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
 MATERIALIZE_CAP = 10_000_000
 NUMERATION_CAP = 1_000_000
-MAX_SEED_PERIOD = 8
 
 
 def _load_spec(path: str) -> SubstitutionSpec:
@@ -91,27 +98,10 @@ def _check_cap(flag: str, value: int, cap: int = MATERIALIZE_CAP, unit: str = "l
         raise InputError(f"{flag} {value} exceeds the cap of {cap} {unit}")
 
 
-def _seed_with_period(sub: Substitution, letter: str) -> tuple[str, int]:
-    for seed, period in list_periodic_seeds(sub, MAX_SEED_PERIOD):
-        if seed == letter:
-            return seed, period
-    raise InputError(
-        f"{letter!r} is not a periodic seed (periods up to {MAX_SEED_PERIOD} tried)"
-    )
-
-
-def _stream(sub: Substitution, letter: str, period: int | None = None) -> FixedPointStream:
-    if period is None:
-        _, period = _seed_with_period(sub, letter)
-    return FixedPointStream(sub, letter, period)
-
-
 def _stream_pair(sub: Substitution, a: str, b: str) -> tuple[FixedPointStream, FixedPointStream, int]:
-    """Streams for two seeds under one common power (the lcm of the periods)."""
-    _, pa = _seed_with_period(sub, a)
-    _, pb = _seed_with_period(sub, b)
-    period = math.lcm(pa, pb)
-    return FixedPointStream(sub, a, period), FixedPointStream(sub, b, period), period
+    """Streams for two seeds and their common period (the lcm of the periods)."""
+    x, y = FixedPointStream(sub, a), FixedPointStream(sub, b)
+    return x, y, math.lcm(x.period, y.period)
 
 
 def _parse_seeds(value: str) -> tuple[str, str]:
@@ -137,7 +127,7 @@ def _cmd_classify(args) -> int:
 def _cmd_expand(args) -> int:
     _check_cap("--length", args.length)
     spec = _load_spec(args.spec)
-    stream = _stream(spec.substitution, args.seed, args.period)
+    stream = FixedPointStream(spec.substitution, args.seed)
     prefix = stream.prefix_text(args.length)
     _emit(
         args,
@@ -149,7 +139,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_occurrences(args) -> int:
     spec = _load_spec(args.spec)
-    stream = _stream(spec.substitution, args.seed)
+    stream = FixedPointStream(spec.substitution, args.seed)
     occ = points.occurrences(stream, args.factor, _horizon(args))
     _emit(args, occ.to_json_dict(), occ.to_text())
     return 0
@@ -157,7 +147,7 @@ def _cmd_occurrences(args) -> int:
 
 def _cmd_gaps(args) -> int:
     spec = _load_spec(args.spec)
-    stream = _stream(spec.substitution, args.seed)
+    stream = FixedPointStream(spec.substitution, args.seed)
     occ = points.occurrences(stream, args.factor, _horizon(args))
     gap = points.max_return_gap(occ)
     payload = {
@@ -205,7 +195,7 @@ def _cmd_coincide(args) -> int:
     if args.seeds:
         pairs = [_parse_seeds(args.seeds)]
     else:
-        seeds = [s for s, _ in list_periodic_seeds(sub, MAX_SEED_PERIOD)]
+        seeds = [s for s, _ in list_periodic_seeds(sub)]
         pairs = list(combinations(seeds, 2))
     results = []
     all_found = bool(pairs)
@@ -311,6 +301,8 @@ def _cmd_ipset_verify(args) -> int:
     spec = _load_spec(args.spec)
     sub = spec.substitution
     horizon = _horizon(args)
+    if args.seeds and (args.seed or args.factor):
+        raise InputError("--seeds takes the seed and factor from the witness; drop --seed and --factor")
     if args.generators:
         if not args.seed or not args.factor:
             raise InputError("--generators needs --seed and --factor")
@@ -319,8 +311,8 @@ def _cmd_ipset_verify(args) -> int:
         except ValueError:
             raise InputError(f"--generators expects integers, got {args.generators!r}")
         family = ipsets.FsFamily(generators, ipsets.SEARCHED)
-        start, period = _seed_with_period(sub, args.seed)
-        factor = args.factor
+        start, factor = args.seed, args.factor
+        period = FixedPointStream(sub, start).period
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
@@ -346,7 +338,7 @@ def _cmd_ipset_verify(args) -> int:
 
 def _cmd_ipset_search(args) -> int:
     spec = _load_spec(args.spec)
-    stream = _stream(spec.substitution, args.seed)
+    stream = FixedPointStream(spec.substitution, args.seed)
     horizon = _horizon(args)
     occ = points.occurrences(stream, args.factor, horizon)
     family = ipsets.search_ip_witness(occ, args.depth)
@@ -366,7 +358,7 @@ def _strand_ingredients(args):
     if args.seed_word:
         word = sub.alphabet.word(args.seed_word)
     else:
-        seeds = list_periodic_seeds(sub, MAX_SEED_PERIOD)
+        seeds = list_periodic_seeds(sub)
         if not seeds:
             raise InputError("no periodic seed found for a default seed word")
         word = sub.alphabet.word(seeds[0][0])
@@ -426,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("expand", help="prefix of a fixed/periodic point")
     p.add_argument("spec")
     p.add_argument("--seed", required=True)
-    p.add_argument("--period", type=int, default=None)
     p.add_argument("--length", type=int, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_expand)
@@ -453,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-window", type=int, default=4)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--expect-evidence", action="store_true")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_proximal)
 
     p = sub.add_parser("coincide", help="strong-coincidence witness search")
@@ -462,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--deep", action="store_true", help="with no witness below the horizon, scan once more, to 1e7")
     p.add_argument("--expect-witness", action="store_true")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_coincide)
 
     num = sub.add_parser("num", help="prefix-automaton numeration").add_subparsers(
@@ -471,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = num.add_parser("graph", help="the prefix automaton as JSON (or weight CSV)")
     p.add_argument("spec")
     p.add_argument("--weights", type=int, default=None, metavar="LEVELS")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_num_graph)
 
     p = num.add_parser("encode", help="integer -> path")
@@ -499,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--starts", required=True)
     p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_num_sync)
 
     ipset = sub.add_parser("ipset", help="finite-sums witnesses").add_subparsers(
@@ -510,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True)
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--horizon", type=int, default=None)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_ipset_build)
 
     p = ipset.add_parser("verify", help="test subset sums against occurrences")
@@ -534,7 +525,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--expect-found", action="store_true")
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_ipset_search)
 
     st = sub.add_parser("strand", help="strand geometry").add_subparsers(
@@ -544,7 +535,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--seed-word", default=None)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_strand_scan)
 
     p = st.add_parser("export", help="CSV/SVG export of a stability scan")
@@ -553,7 +544,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-word", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
-    _add_common(p)
+    _add_common(p, fmt=False)
     p.set_defaults(handler=_cmd_strand_export)
 
     return parser

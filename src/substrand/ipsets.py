@@ -17,6 +17,7 @@ occurrence set by backtracking over subset sums.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -239,8 +240,12 @@ def search_ip_witness(occ: OccurrenceSet, depth: int) -> FsFamily | None:
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    positions = set(occ.positions)
-    candidates = [p for p in occ.positions if p >= 1]
+    positions = occ.positions
+    candidates = [p for p in positions if p >= 1]
+
+    def occurs(total: int) -> bool:
+        i = bisect_left(positions, total)
+        return i < len(positions) and positions[i] == total
 
     def extend(chosen: list[int], sums: set[int], next_index: int):
         if len(chosen) == depth:
@@ -248,7 +253,7 @@ def search_ip_witness(occ: OccurrenceSet, depth: int) -> FsFamily | None:
         for idx in range(next_index, len(candidates)):
             g = candidates[idx]
             new_sums = {g} | {total + g for total in sums}
-            if new_sums <= positions:
+            if all(map(occurs, new_sums)):
                 chosen.append(g)
                 found = extend(chosen, sums | new_sums, idx + 1)
                 if found is not None:

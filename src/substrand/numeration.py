@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from ._intmat import MatrixPowers
 from .errors import InputError
 from .spectral import abelianization_matrix
-from .words import Substitution, Word, abelianize, apply_substitution
+from .words import Substitution, Word, abelianize, apply_substitution, seed_period
 
 DEFAULT_REALIZE_CAP = 10**6
 
@@ -80,14 +80,8 @@ class PrefixGraph:
     def letter_weight(self, level: int, letter_index: int) -> int:
         return self._powers.column_sums(level)[letter_index]
 
-    def is_seed(self, vertex: str) -> bool:
-        """Whether the fixed point at this vertex exists and is infinite."""
-        idx = self.alphabet.index(vertex)
-        image = self.substitution.image_indices(idx)
-        return image[0] == idx and len(image) > 1
-
     def require_seed(self, vertex: str) -> None:
-        if not self.is_seed(vertex):
+        if seed_period(self.substitution, vertex) != 1:
             raise InputError(
                 f"{vertex!r} is not a period-1 seed of this substitution; "
                 "build the graph of the appropriate power instead"

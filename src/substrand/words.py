@@ -20,7 +20,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._intmat import MatrixPowers
 from .errors import InputError
 
 # Source letters per gather step of the expansion: bounds its int64
@@ -256,59 +255,54 @@ def apply_substitution(sub: Substitution, u: Word | str, power: int = 1) -> Word
     return Word(sub.alphabet, indices)
 
 
-def list_periodic_seeds(sub: Substitution, max_period: int) -> list[tuple[str, int]]:
-    """All (letter, least period m <= max_period) whose m-th image restarts the letter.
+def seed_period(sub: Substitution, letter: str) -> int | None:
+    """Least p with ``sub^p(letter)`` starting with the letter and longer than
+    one letter (a seed of period p), or None when the letter is not a seed.
 
-    A qualifying letter has ``sub^m(a)`` beginning with ``a`` and of length
-    at least 2, so iterating ``sub^m`` from ``a`` expands to an infinite
-    periodic point.
+    Following first letters returns to the letter within ``len(alphabet)``
+    steps or never; ``sub^p(letter)`` is longer than one letter exactly when
+    some letter on that cycle has an image longer than one letter.
     """
-    if max_period < 1:
-        raise InputError("max_period must be >= 1")
-    from .spectral import abelianization_matrix  # local import, no cycle at module load
+    start = sub.alphabet.index(letter)
+    current, grows = start, False
+    for p in range(1, len(sub.alphabet) + 1):
+        image = sub._images[current]
+        grows = grows or len(image) > 1
+        current = image[0]
+        if current == start:
+            return p if grows else None
+    return None
 
-    powers = MatrixPowers(abelianization_matrix(sub))
-    seeds = []
-    n = len(sub.alphabet)
-    for idx, letter in enumerate(sub.alphabet):
-        first = idx
-        for m in range(1, max_period + 1):
-            first = sub._images[first][0]
-            if first == idx:
-                e = [0] * n
-                e[idx] = 1
-                if powers.image_length(m, e) > 1:
-                    seeds.append((letter, m))
-                break
-    return seeds
+
+def list_periodic_seeds(sub: Substitution) -> list[tuple[str, int]]:
+    """All (letter, least period) of the seeds, in alphabet order (see :func:`seed_period`)."""
+    return [(a, p) for a in sub.alphabet if (p := seed_period(sub, a)) is not None]
 
 
 class FixedPointStream:
     """Lazily expanded prefix of the one-sided periodic point at a seed letter.
 
-    The working substitution is ``substitution ** period``; its image of the
-    seed must begin with the seed and have length > 1. The buffer, an array
-    of dtype ``np.min_scalar_type(len(alphabet) - 1)``, only ever grows, by
+    The working substitution is ``substitution ** period``, where ``period``
+    is the seed's least period (:func:`seed_period`); every multiple of it
+    spells the same point. The buffer, an array of dtype
+    ``np.min_scalar_type(len(alphabet) - 1)``, only ever grows, by
     applying the working substitution to the current prefix and truncating
     on a doubling schedule (amortized linear in output length); the images
     are gathered ``_BLOCK_CELLS`` source letters at a time.
     """
 
-    def __init__(self, substitution: Substitution, seed: str, period: int = 1):
-        if period < 1:
-            raise InputError("period must be >= 1")
+    def __init__(self, substitution: Substitution, seed: str):
+        period = seed_period(substitution, seed)
+        if period is None:
+            raise InputError(
+                f"{seed!r} is not a periodic seed: no power of the substitution "
+                "maps it to a longer word that starts with it"
+            )
         self.substitution = substitution
         self.seed = seed
         self.period = period
         working = substitution.power(period)
         seed_index = substitution.alphabet.index(seed)
-        image = working.image_indices(seed_index)
-        if image[0] != seed_index or len(image) < 2:
-            raise InputError(
-                f"{seed!r} is not a periodic seed of period {period}: "
-                f"image {''.join(substitution.alphabet.letters[i] for i in image)!r} "
-                f"must start with {seed!r} and have length > 1"
-            )
         dtype = np.min_scalar_type(len(substitution.alphabet) - 1)
         images = working._images
         self._image_letters = np.array([i for im in images for i in im], dtype=dtype)

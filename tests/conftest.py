@@ -55,6 +55,16 @@ def oracle_prefix(sub, seed, length, period=1):
     return str(word)[:length]
 
 
+def oracle_seed_period(sub, letter):
+    """Least m <= |alphabet| such that sub^m(letter), expanded in full, starts
+    with the letter and is longer than one letter; None when there is none."""
+    for m in range(1, len(sub.alphabet) + 1):
+        word = str(apply_substitution(sub, letter, m))
+        if word[0] == letter and len(word) > 1:
+            return m
+    return None
+
+
 def oracle_is_primitive(matrix):
     """(primitive, least exponent) by boolean products of B^k with B for every
     k up to the Wielandt bound (n-1)^2 + 1: the loop the library ran before

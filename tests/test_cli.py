@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -396,6 +397,75 @@ def test_ipset_verify_on_period_two_seeds(capsys, tmp_path):
     argv = ["ipset", "verify", str(spec), "--generators", "0,1,3", "--seed", "b", "--factor", "b"]
     code, payload = _run_json(capsys, argv)
     assert code == 0 and payload["failures"] == [[[1], 1], [[3], 3], [[0, 1], 1], [[0, 3], 3]]
+
+
+def test_seeds_of_period_above_eight(capsys, tmp_path):
+    # a -> b -> ... -> i -> ab: every letter is a seed of least period 9
+    spec = tmp_path / "cycle9.sub"
+    spec.write_text("".join(f"{a} -> {b}\n" for a, b in zip("abcdefgh", "bcdefghi")) + "i -> ab\n")
+    assert main(["expand", str(spec), "--seed", "a", "--length", "20", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "abbcbccdbccdcddebccd\n"
+    assert main(["expand", str(spec), "--seed", "a", "--length", "20", "--period", "9"]) == 2
+    assert "unrecognized arguments: --period" in capsys.readouterr().err
+    code, payload = _run_json(capsys, ["coincide", str(spec), "--horizon", "100"])
+    assert code == 0
+    assert [entry["seeds"] for entry in payload["pairs"]] == [list(p) for p in combinations("abcdefghi", 2)]
+    assert {entry["period"] for entry in payload["pairs"]} == {9}
+
+
+def test_a_letter_that_is_not_a_seed_has_one_message(capsys, fib_spec):
+    message = (
+        "error: 'b' is not a periodic seed: no power of the substitution "
+        "maps it to a longer word that starts with it\n"
+    )
+    for argv in (["expand", fib_spec, "--seed", "b", "--length", "5"],
+                 ["coincide", fib_spec, "--seeds", "a,b"],
+                 ["ipset", "verify", fib_spec, "--generators", "2", "--seed", "b", "--factor", "a"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("extra", [["--seed", "q"], ["--factor", "zz"], ["--seed", "q", "--factor", "zz"]])
+def test_ipset_verify_rejects_seed_or_factor_with_seeds(capsys, pair_spec, extra):
+    # the witness decides the seed and the factor; before, these were ignored
+    assert main(["ipset", "verify", pair_spec, "--seeds", "a,b", *extra]) == 2
+    assert "drop --seed and --factor" in capsys.readouterr().err
+
+
+FORMAT_ARGS = {  # arguments that make each subcommand run on pair_spec
+    "classify": [],
+    "expand": ["--seed", "a", "--length", "5"],
+    "occurrences": ["--seed", "a", "--factor", "b", "--horizon", "100"],
+    "gaps": ["--seed", "a", "--factor", "b", "--horizon", "100"],
+    "num encode": ["--start", "a", "7"],
+    "num decode": ["a: a.e.a.e"],
+    "num list": ["--start", "a"],
+    "ipset verify": ["--seeds", "a,b", "--horizon", "2000"],
+    # no text rendering
+    "proximal": ["--seeds", "a,b"],
+    "coincide": ["--horizon", "100"],
+    "num graph": [],
+    "num sync": ["--starts", "a,b", "--range", "0:10"],
+    "ipset build": ["--seeds", "a,b", "--horizon", "100"],
+    "ipset search": ["--seed", "a", "--factor", "b", "--horizon", "100"],
+    "strand scan": [],
+    "strand export": ["--csv", "{tmp}/out.csv"],
+}
+TEXT_RENDERED = ("classify", "expand", "occurrences", "gaps", "num encode", "num decode", "num list", "ipset verify")
+
+
+@pytest.mark.parametrize("command", FORMAT_ARGS)
+def test_format_flag_only_where_there_is_a_text_rendering(capsys, tmp_path, pair_spec, command):
+    argv = [*command.split(), pair_spec, *(a.format(tmp=tmp_path) for a in FORMAT_ARGS[command])]
+    code = main(argv)
+    as_json = capsys.readouterr().out
+    if command in TEXT_RENDERED:
+        assert main([*argv, "--format", "text"]) == code == 0
+        assert capsys.readouterr().out != as_json
+    else:
+        assert code in (0, 1)
+        assert main([*argv, "--format", "text"]) == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
 
 def test_ipset_verify_rejects_negative_generators(capsys, pair_spec):

@@ -15,8 +15,8 @@ from substrand import (
 )
 
 
-def _streams(sub, a="a", b="b", period=1):
-    return FixedPointStream(sub, a, period), FixedPointStream(sub, b, period)
+def _streams(sub, a="a", b="b"):
+    return FixedPointStream(sub, a), FixedPointStream(sub, b)
 
 
 def test_delta_sequence_example(aab_ba):

@@ -163,7 +163,7 @@ def test_verify_finite_sums_matches_the_occurrence_set_oracle(point, data):
     sub, seed, period = point
     factor = "".join(data.draw(st.lists(st.sampled_from(sub.alphabet.letters), min_size=1, max_size=3)))
     horizon = data.draw(st.integers(len(factor), 300), label="horizon")
-    occ = occurrences(FixedPointStream(sub, seed, period), factor, horizon)
+    occ = occurrences(FixedPointStream(sub, seed), factor, horizon)
     fit = horizon - len(factor)
     # the last sum that is checked or the first that is not, plus occurrences and other values
     edge = data.draw(st.sampled_from([fit, fit + 1]), label="edge")

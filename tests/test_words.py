@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from substrand import (
     Alphabet,
@@ -11,10 +12,11 @@ from substrand import (
     abelianization_matrix,
     abelianize,
     apply_substitution,
+    build_prefix_graph,
     expand,
     list_periodic_seeds,
 )
-from conftest import oracle_prefix
+from conftest import oracle_prefix, oracle_seed_period
 
 
 def test_alphabet_rejects_duplicates_and_multichar():
@@ -71,11 +73,48 @@ def test_abelianize_is_additive(fibonacci):
 
 
 def test_periodic_seeds(fibonacci, thue_morse):
-    assert list_periodic_seeds(fibonacci, 3) == [("a", 1)]
-    assert list_periodic_seeds(thue_morse, 3) == [("a", 1), ("b", 1)]
+    assert list_periodic_seeds(fibonacci) == [("a", 1)]
+    assert list_periodic_seeds(thue_morse) == [("a", 1), ("b", 1)]
     swap = Substitution({"a": "b", "b": "ab"})
-    assert list_periodic_seeds(swap, 3) == [("a", 2), ("b", 2)]
-    assert list_periodic_seeds(swap, 1) == []
+    assert list_periodic_seeds(swap) == [("a", 2), ("b", 2)]
+    assert [s for s, m in list_periodic_seeds(swap) if m == 1] == []
+
+
+@st.composite
+def first_letter_cycles(draw):
+    """Substitutions of 1-12 letters; a permutation of first letters puts
+    every letter on a cycle, some as long as the alphabet, and half the
+    images are single letters, so that cycles without growth occur too."""
+    n = draw(st.integers(1, 12))
+    letters = "abcdefghijkl"[:n]
+    if draw(st.booleans()):
+        firsts = draw(st.permutations(range(n)))
+    else:
+        firsts = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    tail = st.one_of(st.just(""), st.sampled_from(letters))
+    tails = draw(st.lists(tail, min_size=n, max_size=n))
+    return Substitution({a: letters[f] + t for a, f, t in zip(letters, firsts, tails)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub=first_letter_cycles())
+def test_seed_rule_matches_the_expansion_oracle(sub):
+    periods = {a: oracle_seed_period(sub, a) for a in sub.alphabet}
+    assert list_periodic_seeds(sub) == [(a, p) for a, p in periods.items() if p is not None]
+    graph = build_prefix_graph(sub)
+    for a, p in periods.items():
+        if p is None:
+            with pytest.raises(InputError, match="not a periodic seed"):
+                FixedPointStream(sub, a)
+        else:
+            stream = FixedPointStream(sub, a)
+            assert stream.period == p
+            assert stream.prefix_text(40) == oracle_prefix(sub, a, 40, period=p)
+        if p == 1:
+            graph.require_seed(a)
+        else:
+            with pytest.raises(InputError, match="period-1 seed"):
+                graph.require_seed(a)
 
 
 def test_expand_against_oracle(fibonacci):
@@ -87,7 +126,7 @@ def test_expand_against_oracle(fibonacci):
 
 def test_expand_rejects_bad_seed(fibonacci):
     with pytest.raises(InputError):
-        FixedPointStream(fibonacci, "b", period=1)
+        FixedPointStream(fibonacci, "b")
     with pytest.raises(InputError):
         FixedPointStream(Substitution({"a": "a"}), "a")
 
@@ -103,7 +142,8 @@ def test_expand_prefix_monotone(tribonacci):
 
 def test_period_two_stream_matches_oracle():
     swap = Substitution({"a": "b", "b": "ab"})
-    stream = FixedPointStream(swap, "a", period=2)
+    stream = FixedPointStream(swap, "a")
+    assert stream.period == 2
     assert stream.prefix_text(40) == oracle_prefix(swap, "a", 40, period=2)
 
 
