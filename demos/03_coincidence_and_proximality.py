@@ -3,7 +3,9 @@
 The binary Pisot pair (a->aab, b->ba) has a witness at index 3: the length-3
 prefixes "aab" and "baa" are abelian equivalent and both fixed points
 continue with the letter a. Thue-Morse fails in the strongest way: its two
-fixed points disagree at every single coordinate. The uniform length-4 pair
+fixed points disagree at every single coordinate, and the balanced-pair
+closure proves it: the pairs (ab, ba) and (ba, ab) map onto each other and
+no pair (c, c) ever appears. The uniform length-4 pair
 (a->aaab, b->bbab) separates the two notions: the scan finds ever-growing
 agreement windows (proximality evidence) yet no coincidence witness ever
 appears; its difference-vector set keeps all three values without a
@@ -13,6 +15,7 @@ simultaneous letter match at a zero.
 from substrand import (
     FixedPointStream,
     Substitution,
+    balanced_pair_closure,
     delta_sequence,
     delta_value_set,
     find_strong_coincidence,
@@ -44,6 +47,10 @@ def main():
     _, tx, ty = pair_streams({"a": "ab", "b": "ba"})
     tv = find_strong_coincidence(tx, ty, 100_000)
     print("witness:", tv.witness, "| set:", sorted(tv.delta_values), "| stabilized:", tv.stabilized)
+    closure = balanced_pair_closure(tx, ty)
+    pairs = ", ".join(f"({u}, {v})" for u, v in closure.pairs)
+    print(f"balanced-pair closure: {closure.verdict}, {len(closure.pairs)} pairs {pairs},",
+          "D values over every k:", sorted(closure.delta_values))
     agree = proximality_scan(tx, ty, 1, 10_000)
     print("agreement windows of any length below 1e4:", len(agree.windows), "->", agree.verdict)
     print()

@@ -8,9 +8,11 @@ sets, and exact lattice strand geometry under inflation.
 """
 
 from .coincidence import (
+    BalancedPairClosure,
     CoincidenceVerdict,
     CoincidenceWitness,
     DeltaSequence,
+    balanced_pair_closure,
     delta_sequence,
     delta_value_set,
     find_strong_coincidence,
@@ -101,7 +103,7 @@ __all__ = [
     "proximality_scan", "EVIDENCE_FOR", "NONE_FOUND",
     "DeltaSequence", "CoincidenceWitness", "CoincidenceVerdict",
     "delta_sequence", "find_strong_coincidence", "validate_witness",
-    "delta_value_set",
+    "delta_value_set", "BalancedPairClosure", "balanced_pair_closure",
     "PrefixGraph", "PrefixEdge", "PathRepresentation", "DecodedValue",
     "SynchronizingScan", "build_prefix_graph", "decode_path", "encode_integer",
     "enumerate_paths", "letter_at", "synchronizing_scan", "format_path", "parse_path",

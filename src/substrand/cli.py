@@ -9,7 +9,8 @@ Output is JSON; ``--format text`` gives the plain rendering and is taken
 only by the subcommands that have one: ``classify``, ``expand``,
 ``occurrences``, ``gaps``, ``num encode``, ``num decode``, ``num list`` and
 ``ipset verify``. ``ipset verify --seeds`` takes the seed and factor from
-the witness and refuses ``--seed`` and ``--factor``.
+the witness and refuses ``--seed`` and ``--factor``; ``--generators`` gives
+the family and refuses ``--count``.
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative or when the reader closes stdout early (a broken
@@ -22,7 +23,9 @@ witness lies below the horizon, ``coincide --deep`` scans once more, to
 ``DEEP_HORIZON_CAP`` = 10**7, and reports the first of the doubled horizons
 horizon * 2**j (capped) that reaches the least witness, or the cap when there
 is none. The streams grow with the scan, so a witness found early also stops
-the expansion early.
+the expansion early. When the balanced-pair closure (Sirvent & Solomyak,
+Canad. Math. Bull. 45, 2002) proves there is no witness, that scan stops once
+it has seen every D value of the closure, and prints what the full scan does.
 
 ``expand --length`` and ``num decode --max-realize`` are capped at
 ``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
@@ -177,10 +180,15 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
 
     The least witness does not depend on the horizon, so one scan to the cap
     finds it, and the doubled horizon it is reported at follows from its index.
+    When the balanced-pair closure proves there is no witness, that scan
+    stops once it has seen every closure D value.
     """
     x, y, period = _stream_pair(sub, a, b)
     verdict = coin.find_strong_coincidence(x, y, horizon)
     if deep and not verdict.found and horizon < DEEP_HORIZON_CAP:
+        closure = coin.balanced_pair_closure(x, y)
+        if closure.verdict == coin.NO_WITNESS:
+            return coin.verdict_without_witness(x, y, DEEP_HORIZON_CAP, closure.delta_values), period
         verdict = coin.find_strong_coincidence(x, y, DEEP_HORIZON_CAP)
         if verdict.found:
             while horizon <= verdict.witness.index:
@@ -304,6 +312,8 @@ def _cmd_ipset_verify(args) -> int:
     if args.seeds and (args.seed or args.factor):
         raise InputError("--seeds takes the seed and factor from the witness; drop --seed and --factor")
     if args.generators:
+        if args.count is not None:
+            raise InputError("--generators gives the family itself; drop --count")
         if not args.seed or not args.factor:
             raise InputError("--generators needs --seed and --factor")
         try:
@@ -322,7 +332,8 @@ def _cmd_ipset_verify(args) -> int:
         if not verdict.found:
             _emit(args, {"witness": None, "verdict": "no-witness"})
             return 1
-        family = ipsets.build_fs_family(sub.power(period), verdict.witness, args.count)
+        count = 2 if args.count is None else args.count
+        family = ipsets.build_fs_family(sub.power(period), verdict.witness, count)
         factor = family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)
@@ -510,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generators", default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--factor", default=None)
-    p.add_argument("--count", type=int, default=2)
+    p.add_argument("--count", type=int, default=None, help="with --seeds: generators to build (default 2)")
     p.add_argument("--max-subset-size", type=int, default=3)
     p.add_argument("--horizon", type=int, default=None,
                    help="default: large enough to check every subset sum")

@@ -9,12 +9,16 @@ stopped growing (finiteness evidence), never a proof of non-coincidence.
 
 D is computed only by :func:`_delta_blocks`, a cumulative sum over the
 streams' letter buffers in bounded blocks; every scan here and
-:func:`substrand.strand.max_stable_delta_norm` consume it.
+:func:`substrand.strand.max_stable_delta_norm` consume it. Its step also
+splits the pairs of :func:`balanced_pair_closure`, which can prove there is
+no witness at any index.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +101,15 @@ def _check_pair(x: FixedPointStream, y: FixedPointStream) -> None:
 _BLOCK_CELLS = 1 << 19  # entries of D (rows times letters) per block: bounds memory
 
 
+def _differences(xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
+    """int64 rows ``counts(xs[:i+1]) - counts(ys[:i+1])`` over n letters."""
+    rows = np.empty((len(xs), n), dtype=np.int64)
+    for a in range(n):
+        steps = (xs == a).view(np.int8) - (ys == a).view(np.int8)
+        np.cumsum(steps, dtype=np.int64, out=rows[:, a])
+    return rows
+
+
 def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     """Yield ``(k0, block)``, int64 rows ``block[i] = D_{k0+i}``, for k in [0, horizon]
     in increasing order; the first block holds D_0 alone.
@@ -120,11 +133,7 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
             grown = horizon + 1 if 4 * grown > horizon else grown
             xs = x.prefix_indices(grown)
             ys = y.prefix_indices(grown)
-        xb, yb = xs[j:end], ys[j:end]
-        block = np.empty((len(xb), n), dtype=np.int64)
-        for a in range(n):
-            steps = (xb == a).view(np.int8) - (yb == a).view(np.int8)
-            np.cumsum(steps, dtype=np.int64, out=block[:, a])
+        block = _differences(xs[j:end], ys[j:end], n)
         block += delta
         delta = block[-1:].copy()
         yield j + 1, block
@@ -139,6 +148,17 @@ def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.
     first = order[np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))]
     for i, value in zip(first.tolist(), block[first].tolist()):
         first_seen.setdefault(tuple(value), k0 + i)
+
+
+def _first_seen(x: FixedPointStream, y: FixedPointStream, horizon: int, stop_at: int | None = None):
+    """Each distinct D_k, k < horizon, with its least k; stops after the block
+    in which ``stop_at`` distinct values have been seen."""
+    first_seen: dict[tuple[int, ...], int] = {}
+    for k0, block in _delta_blocks(x, y, horizon - 1):
+        _note_first_seen(first_seen, k0, block)
+        if len(first_seen) == stop_at:
+            break
+    return first_seen
 
 
 def delta_sequence(x: FixedPointStream, y: FixedPointStream, horizon: int) -> DeltaSequence:
@@ -204,7 +224,78 @@ def delta_value_set(
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    first_seen: dict[tuple[int, ...], int] = {}
-    for k0, block in _delta_blocks(x, y, horizon - 1):
-        _note_first_seen(first_seen, k0, block)
-    return frozenset(first_seen)
+    return frozenset(_first_seen(x, y, horizon))
+
+
+WITNESS_EXISTS, NO_WITNESS, INDETERMINATE = "WitnessExists", "NoWitness", "Indeterminate"
+CLOSURE_MAX_PAIRS = CLOSURE_MAX_LENGTH = 1000  # hit by inputs whose pairs keep growing
+
+
+@dataclass(frozen=True)
+class BalancedPairClosure:
+    """The minimal balanced pairs found, and the verdict: WITNESS_EXISTS when
+    one is (c, c), NO_WITNESS when the closure is finite without one (a proof;
+    ``delta_values`` then holds D_k over every k), INDETERMINATE when a cap was
+    hit first."""
+
+    verdict: str
+    pairs: tuple[tuple[Word, Word], ...]
+    delta_values: frozenset[tuple[int, ...]] | None = None
+
+
+def balanced_pair_closure(x: FixedPointStream, y: FixedPointStream) -> BalancedPairClosure:
+    """Livshits' balanced-pair algorithm (Sirvent & Solomyak, Canad. Math.
+    Bull. 45, 2002).
+
+    Cutting x and y at every k with D_k = 0 splits them into minimal balanced
+    pairs. Both points are fixed by sigma^p, p the lcm of their periods, which
+    maps cuts to cuts; so the pairs that occur are the first one (up to the
+    least k >= 1 with D_k = 0) closed under (u, v) -> the pairs of
+    (sigma^p(u), sigma^p(v)). A witness is a cut k >= 1 whose pair is (c, c),
+    and D takes the values inside the pairs. Caps: a first cut, an image of
+    sigma^p or a pair longer than CLOSURE_MAX_LENGTH, more than
+    CLOSURE_MAX_PAIRS pairs.
+    """
+    _check_pair(x, y)
+    n, sub, period = len(x.alphabet), x.substitution, math.lcm(x.period, y.period)
+    cut = next((k0 + int(zeros[0]) for k0, block in _delta_blocks(x, y, CLOSURE_MAX_LENGTH)
+                if k0 and (zeros := np.flatnonzero(~block.any(axis=1))).size), None)
+    if cut is None:
+        return BalancedPairClosure(INDETERMINATE, ())
+    lengths = [1] * n  # |sigma^j(a)|, counted before any image is written out
+    for _ in range(period):
+        lengths = [sum(lengths[b] for b in sub.image_indices(a)) for a in range(n)]
+        if max(lengths) > CLOSURE_MAX_LENGTH:
+            return BalancedPairClosure(INDETERMINATE, ())
+    working = sub.power(period)
+    images = [working.image_indices(a) for a in range(n)]
+    pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
+    todo, verdict = deque([tuple(tuple(s.prefix_indices(cut).tolist()) for s in (x, y))]), NO_WITNESS
+    while todo and verdict == NO_WITNESS:  # breadth first: a (c, c) is found at its least depth
+        pair = todo.popleft()
+        if pair in pairs:
+            continue
+        pairs[pair] = None
+        if pair[0] == pair[1]:  # a minimal pair of equal words is one letter
+            verdict = WITNESS_EXISTS
+        elif len(pair[0]) > CLOSURE_MAX_LENGTH or len(pairs) > CLOSURE_MAX_PAIRS:
+            verdict = INDETERMINATE
+        else:
+            us, vs = ([a for b in w for a in images[b]] for w in pair)
+            cuts = (np.flatnonzero(~_differences(np.array(us), np.array(vs), n).any(axis=1)) + 1).tolist()
+            todo.extend((tuple(us[s:e]), tuple(vs[s:e])) for s, e in zip([0] + cuts, cuts))
+    words = tuple((Word(x.alphabet, u), Word(x.alphabet, v)) for u, v in pairs)
+    if verdict != NO_WITNESS:
+        return BalancedPairClosure(verdict, words)
+    rows = np.concatenate([_differences(np.array(u), np.array(v), n) for u, v in pairs])
+    return BalancedPairClosure(verdict, words, frozenset(map(tuple, rows.tolist())))
+
+
+def verdict_without_witness(
+    x: FixedPointStream, y: FixedPointStream, horizon: int, delta_values: frozenset[tuple[int, ...]]
+) -> CoincidenceVerdict:
+    """``find_strong_coincidence(x, y, horizon)`` for a pair with no witness
+    whose D takes exactly ``delta_values`` (a NO_WITNESS closure's): the scan
+    stops once it has seen them all."""
+    first_seen = _first_seen(x, y, horizon, len(delta_values))
+    return CoincidenceVerdict(horizon, None, frozenset(first_seen), max(first_seen.values()) < horizon // 2)

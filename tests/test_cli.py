@@ -217,17 +217,30 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     p = tmp_path / "complement.sub"
     p.write_text("a -> abbaab\nb -> baabba\n")
     monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 5000)
-    horizons = []
+    # 32 rows a block: the first block of the scan at the cap holds every D value
+    monkeypatch.setattr(coincidence, "_BLOCK_CELLS", 64)
+    horizons, requested = [], []
     scan = coincidence.find_strong_coincidence
+    ensure = FixedPointStream._ensure
 
     def spy(x, y, horizon):
         horizons.append(horizon)
-        return scan(x, y, horizon)
+        verdict = scan(x, y, horizon)
+        requested.clear()
+        return verdict
+
+    def ensure_spy(self, length):
+        requested.append(length)
+        return ensure(self, length)
 
     monkeypatch.setattr(coincidence, "find_strong_coincidence", spy)
+    monkeypatch.setattr(FixedPointStream, "_ensure", ensure_spy)
     argv = ["coincide", str(p), "--seeds", "a,b", "--deep", "--expect-witness", "--horizon"]
     code, payload = _run_json(capsys, argv + ["100"])
-    assert code == 1 and horizons == [100, 5000]
+    # one scan at 100; the closure proves there is no witness, and after it
+    # no stream is expanded past the first block of the scan at the cap
+    assert code == 1 and horizons == [100]
+    assert 0 < max(requested) <= 32 + 1
     sub = parse_substitution_spec(p.read_text()).substitution
     expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 100, 5000)
     assert expected.horizon == 5000 and expected.stabilized is True
@@ -238,6 +251,48 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     assert code == 1 and horizons == [5000]
     assert main(argv + ["0"]) == 2
     assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+
+
+def test_coincide_deep_falls_back_to_the_scan_when_the_closure_is_indeterminate(capsys, tmp_path):
+    # not Pisot: the first cut lies past the closure's length cap, and the
+    # least witness past the default horizon
+    p = tmp_path / "late.sub"
+    p.write_text("a -> bbabc\nb -> aabb\nc -> ac\n")
+    sub = parse_substitution_spec(p.read_text()).substitution
+    closure = coincidence.balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
+    assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
+    code, payload = _run_json(capsys, ["coincide", str(p), "--seeds", "a,b", "--deep"])
+    assert code == 0
+    assert payload["pairs"][0]["witness"]["k"] == 216934 and payload["pairs"][0]["horizon"] == 400_000
+
+
+def test_coincide_deep_on_seeds_of_coprime_periods_matches_the_full_scan(capsys, monkeypatch, tmp_path):
+    # first letters run through a 5-cycle and a 7-cycle: the images of sigma^35
+    # have 2**35 letters, but the two points share no letter, so no cut exists
+    p = tmp_path / "cycles.sub"
+    p.write_text("".join(f"{c} -> {cycle[(i + 1) % len(cycle)]}{c}\n"
+                         for cycle in ("abcde", "fghijkl") for i, c in enumerate(cycle)))
+    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 5000)
+    sub = parse_substitution_spec(p.read_text()).substitution
+    x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "f")
+    assert (x.period, y.period) == (5, 7)
+    closure = coincidence.balanced_pair_closure(x, y)
+    assert closure.verdict == coincidence.INDETERMINATE and closure.pairs == ()
+    expected = coincidence.find_strong_coincidence(FixedPointStream(sub, "a"), FixedPointStream(sub, "f"), 5000)
+    assert not expected.found
+    code, payload = _run_json(capsys, ["coincide", str(p), "--seeds", "a,f", "--deep", "--horizon", "100"])
+    assert code == 0 and payload["pairs"] == [{"seeds": ["a", "f"], "period": 35, **expected.to_json_dict()}]
+
+
+def test_coincide_deep_on_an_indeterminate_pair_matches_the_full_scan(capsys, monkeypatch, uniform_spec):
+    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 20_000)
+    sub = parse_substitution_spec(Path(uniform_spec).read_text()).substitution
+    closure = coincidence.balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
+    assert closure.verdict == coincidence.INDETERMINATE
+    expected = coincidence.find_strong_coincidence(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 20_000)
+    assert not expected.found
+    code, payload = _run_json(capsys, ["coincide", uniform_spec, "--seeds", "a,b", "--deep", "--horizon", "100"])
+    assert code == 0 and payload["pairs"] == [{"seeds": ["a", "b"], "period": 1, **expected.to_json_dict()}]
 
 
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
@@ -423,6 +478,20 @@ def test_a_letter_that_is_not_a_seed_has_one_message(capsys, fib_spec):
                  ["ipset", "verify", fib_spec, "--generators", "2", "--seed", "b", "--factor", "a"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == message
+
+
+def test_ipset_verify_rejects_count_with_generators(capsys, pair_spec):
+    # --count only sizes a family built from a witness; before, it was ignored here
+    argv = ["ipset", "verify", pair_spec, "--generators", "1,2", "--seed", "a", "--factor", "b"]
+    assert main(argv + ["--count", "9"]) == 2
+    assert capsys.readouterr().err == "error: --generators gives the family itself; drop --count\n"
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and payload["family"]["generators"] == [1, 2]
+    # with --seeds the default is still 2, and --count is taken
+    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--horizon", "2000"]
+    for extra, count in (([], 2), (["--count", "3"], 3)):
+        code, payload = _run_json(capsys, argv + extra)
+        assert code == 0 and len(payload["family"]["generators"]) == count
 
 
 @pytest.mark.parametrize("extra", [["--seed", "q"], ["--factor", "zz"], ["--seed", "q", "--factor", "zz"]])

@@ -11,14 +11,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from substrand import (
     FixedPointStream,
     Substitution,
+    abelianization_matrix,
+    balanced_pair_closure,
     delta_sequence,
     delta_value_set,
     find_strong_coincidence,
+    is_primitive,
     max_return_gap,
     max_stable_delta_norm,
     occurrences,
@@ -38,15 +41,25 @@ from conftest import (
 
 
 @st.composite
-def seeded_pairs(draw):
-    """A substitution whose images of a and b start with a and b."""
+def seeded_pairs(draw, period=1):
+    """A substitution whose images of a and b start with a and b, or with
+    b and a for ``period`` 2 (a and b are then seeds of period 2)."""
     letters = "abcd"[: draw(st.integers(2, 4))]
+    first = {"a": "a", "b": "b"} if period == 1 else {"a": "b", "b": "a"}
 
     def word(min_size, max_size):
         return "".join(draw(st.lists(st.sampled_from(letters), min_size=min_size, max_size=max_size)))
 
-    rules = {c: (c + word(1, 3) if c in "ab" else word(1, 4)) for c in letters}
+    rules = {c: (first[c] + word(1, 3) if c in "ab" else word(1, 4)) for c in letters}
     return Substitution(rules)
+
+
+@st.composite
+def complement_pairs(draw):
+    """sigma(b) is sigma(a) with a and b swapped: the fixed points at a and b
+    differ at every index, so no witness exists."""
+    image = "a" + "".join(draw(st.lists(st.sampled_from("ab"), min_size=1, max_size=6)))
+    return Substitution({"a": image, "b": image.translate(str.maketrans("ab", "ba"))})
 
 
 def _indices(sub, seed, length):
@@ -138,6 +151,74 @@ def test_deep_coincide_at_small_horizons_and_caps(aab_ba):
     for cap in range(1, 13):
         for horizon in range(1, 15):
             _check_deep_coincide(aab_ba, horizon, cap)
+
+
+_CLOSURE_HORIZON = 1 << 15  # past every witness and first-seen D value of these families
+
+
+def _pairs_below(sub, period, horizon):
+    """The minimal balanced pairs of the fixed points at a and b that end
+    below the horizon: cut at every zero of the step recurrence."""
+    xs, ys = ([sub.alphabet.index(c) for c in oracle_prefix(sub, s, horizon, period)] for s in "ab")
+    zero = (0,) * len(sub.alphabet)
+    cuts = [k for k, d in enumerate(oracle_delta_sequence(xs, ys, horizon, len(sub.alphabet))) if d == zero]
+    return {(tuple(xs[s:e]), tuple(ys[s:e])) for s, e in zip(cuts, cuts[1:])}
+
+
+def _check_closure(sub, period):
+    # primitive, so the fixed points grow exponentially and the scan to the horizon is quick
+    assume(is_primitive(abelianization_matrix(sub))[0])
+    x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
+    assert (x.period, y.period) == (period, period)
+    closure = balanced_pair_closure(x, y)
+    verdict = find_strong_coincidence(x, y, _CLOSURE_HORIZON)
+    n, zero = len(sub.alphabet), (0,) * len(sub.alphabet)
+    for u, v in closure.pairs:  # minimal balanced pairs: D is zero at both ends only
+        deltas = oracle_delta_sequence(u.indices, v.indices, len(u), n)
+        assert [k for k, d in enumerate(deltas) if d == zero] == [0, len(u)]
+    equal = [u for u, v in closure.pairs if u == v]
+    if closure.verdict == coincidence.WITNESS_EXISTS:
+        assert verdict.found and len(equal) == 1 and len(equal[0]) == 1
+    elif closure.verdict == coincidence.NO_WITNESS:
+        assert not verdict.found and not equal
+        assert closure.delta_values == delta_value_set(x, y, _CLOSURE_HORIZON) == verdict.delta_values
+        assert _pairs_below(sub, period, 4096) <= {(u.indices, v.indices) for u, v in closure.pairs}
+        fresh = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
+        assert coincidence.verdict_without_witness(*fresh, _CLOSURE_HORIZON, closure.delta_values) == verdict
+    else:
+        assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
+    if verdict.found:
+        assert closure.verdict != coincidence.NO_WITNESS
+
+
+@settings(max_examples=40, deadline=None)
+@given(sub=st.one_of(seeded_pairs(), complement_pairs()))
+def test_balanced_pair_closure_matches_the_scan(sub):
+    _check_closure(sub, 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(sub=seeded_pairs(period=2))
+@example(sub=Substitution({"a": "bcac", "b": "abc", "c": "aca"}))  # D values not symmetric under -1
+def test_balanced_pair_closure_of_period_two_seeds_matches_the_scan(sub):
+    _check_closure(sub, 2)
+
+
+def test_balanced_pair_closure_of_thue_morse(thue_morse):
+    closure = balanced_pair_closure(FixedPointStream(thue_morse, "a"), FixedPointStream(thue_morse, "b"))
+    assert closure.verdict == coincidence.NO_WITNESS
+    assert [(str(u), str(v)) for u, v in closure.pairs] == [("ab", "ba"), ("ba", "ab")]
+    assert closure.delta_values == {(0, 0), (1, -1), (-1, 1)}
+
+
+@pytest.mark.parametrize("repeats, verdict", [(500, coincidence.NO_WITNESS), (501, coincidence.INDETERMINATE)])
+def test_balanced_pair_closure_caps_the_image_length_before_writing_images(repeats, verdict):
+    # Thue-Morse with longer images: the pairs are (ab, ba) and (ba, ab), and
+    # only the images' length, 2 * repeats, decides whether the closure runs
+    sub = Substitution({"a": "ab" * repeats, "b": "ba" * repeats})
+    closure = balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
+    assert 2 * 500 == coincidence.CLOSURE_MAX_LENGTH and closure.verdict == verdict
+    assert len(closure.pairs) == (2 if verdict == coincidence.NO_WITNESS else 0)
 
 
 @settings(max_examples=200, deadline=None)
