@@ -17,23 +17,6 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(ar[j] * bc[j] for j in range(k)) for bc in bt] for ar in a]
 
 
-def mat_vec(a: list[list[int]], v: list[int] | tuple[int, ...]) -> list[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def mat_power(a: list[list[int]], k: int) -> list[list[int]]:
-    if k < 0:
-        raise ValueError("negative matrix power")
-    result = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return result
-
-
 class MatrixPowers:
     """Memoized powers of a square integer matrix, plus column sums.
 

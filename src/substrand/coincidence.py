@@ -16,7 +16,6 @@ no witness at any index.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -88,9 +87,6 @@ class CoincidenceVerdict:
             "delta_values": sorted(list(v) for v in self.delta_values),
             "stabilized": self.stabilized,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def _check_pair(x: FixedPointStream, y: FixedPointStream) -> None:

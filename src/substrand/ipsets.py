@@ -16,7 +16,6 @@ occurrence set by backtracking over subset sums.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
@@ -78,9 +77,6 @@ class FsFamily:
             else self.provenance.to_json_dict()
         )
         return {"generators": list(self.generators), "provenance": prov}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
 def build_fs_family(
@@ -169,9 +165,6 @@ class FsVerification:
             "unchecked": [[list(sub), total] for sub, total in self.unchecked],
             "verdict": self.verdict,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         """Aligned table with one row per tested subset."""

@@ -19,7 +19,6 @@ empty token is used instead).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from ._intmat import MatrixPowers
@@ -168,21 +167,16 @@ def decode_path(
     return DecodedValue(value, vertex, realized)
 
 
-def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation:
-    """The unique proper path at the seed whose value is the given integer.
+def _greedy_walk(g: PrefixGraph, start_index: int, value: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Label letter indices of the path of value, and the letter index it ends at.
 
     Greedy, most significant level first: at each level take the longest
     image-prefix label whose weight still fits, exactly as the order-
-    preserving correspondence demands. Specializes to the greedy Zeckendorf
-    expansion in the Fibonacci case and to base-k digits for uniform
-    length-k substitutions.
+    preserving correspondence demands. Callers check that the start is a
+    period-1 seed and that value >= 0.
     """
-    g.require_seed(start)
-    if value < 0:
-        raise InputError("value must be >= 0")
     if value == 0:
-        return PathRepresentation(start, ())
-    start_index = g.alphabet.index(start)
+        return (), start_index
     levels = 0
     while g.letter_weight(levels + 1, start_index) <= value:
         levels += 1
@@ -190,7 +184,7 @@ def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation
     sub = g.substitution
     vertex_index = start_index
     remaining = value
-    labels: list[Word] = []
+    labels: list[tuple[int, ...]] = []
     for level in range(levels, -1, -1):
         image = sub.image_indices(vertex_index)
         weights = g._powers.column_sums(level)
@@ -205,18 +199,40 @@ def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation
                 break
             acc = extended
             take = k + 1
-        labels.append(Word(g.alphabet, image[:take]))
+        labels.append(image[:take])
         remaining -= acc
         vertex_index = image[take]
     assert remaining == 0, "greedy digit extraction must terminate exactly"
-    return PathRepresentation(start, tuple(labels))
+    return tuple(labels), vertex_index
+
+
+def _path(g: PrefixGraph, start: str, labels: tuple[tuple[int, ...], ...]) -> PathRepresentation:
+    return PathRepresentation(start, tuple(Word(g.alphabet, label) for label in labels))
+
+
+def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation:
+    """The unique proper path at the seed whose value is the given integer.
+
+    Greedy digits (see :func:`_greedy_walk`). Specializes to the greedy
+    Zeckendorf expansion in the Fibonacci case and to base-k digits for
+    uniform length-k substitutions.
+    """
+    g.require_seed(start)
+    if value < 0:
+        raise InputError("value must be >= 0")
+    labels, _ = _greedy_walk(g, g.alphabet.index(start), value)
+    return _path(g, start, labels)
 
 
 def letter_at(g: PrefixGraph, start: str, value: int) -> str:
     """Letter x_v of the fixed point at the seed, v = ``value``: the path of v
-    ends at x_v (Dumont & Thomas, Theor. Comput. Sci. 65, 1989), so reading
-    it costs one encode of O(log v) steps and expands nothing."""
-    return decode_path(g, encode_integer(g, start, value), materialize=False).terminal
+    ends at x_v (Dumont & Thomas, Theor. Comput. Sci. 65, 1989), so this is
+    one greedy walk of O(log v) steps that builds no path and expands nothing."""
+    g.require_seed(start)
+    if value < 0:
+        raise InputError("value must be >= 0")
+    _, terminal = _greedy_walk(g, g.alphabet.index(start), value)
+    return g.alphabet.letters[terminal]
 
 
 def enumerate_paths(g: PrefixGraph, start: str, count: int) -> list[PathRepresentation]:
@@ -301,9 +317,6 @@ class SynchronizingScan:
             "max_run": self.max_run,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def synchronizing_scan(
     g: PrefixGraph, start_a: str, start_b: str, value_range: tuple[int, int]
@@ -318,17 +331,20 @@ def synchronizing_scan(
     lo, hi = value_range
     if lo < 0 or hi < lo:
         raise InputError("range must satisfy 0 <= lo <= hi")
+    index_a = g.alphabet.index(start_a)
+    index_b = g.alphabet.index(start_b)
     entries = []
     run = 0
     max_run = 0
     previous = None
     for value in range(lo, hi + 1):
-        pa = encode_integer(g, start_a, value)
-        pb = encode_integer(g, start_b, value)
-        ta = decode_path(g, pa, materialize=False).terminal
-        tb = decode_path(g, pb, materialize=False).terminal
-        if ta == tb:
-            entries.append(SynchronizingEntry(value, ta, pa, pb))
+        labels_a, terminal_a = _greedy_walk(g, index_a, value)
+        labels_b, terminal_b = _greedy_walk(g, index_b, value)
+        if terminal_a == terminal_b:
+            entries.append(SynchronizingEntry(
+                value, g.alphabet.letters[terminal_a],
+                _path(g, start_a, labels_a), _path(g, start_b, labels_b),
+            ))
             run = run + 1 if previous == value - 1 else 1
             previous = value
             max_run = max(max_run, run)

@@ -39,7 +39,6 @@ from substrand import (
     validate_witness,
     verify_finite_sums,
 )
-from substrand._intmat import mat_power, mat_vec
 
 FIBONACCI = {"a": "ab", "b": "a"}
 TRIBONACCI = {"a": "ab", "b": "ac", "c": "a"}
@@ -47,6 +46,19 @@ THUE_MORSE = {"a": "ab", "b": "ba"}
 UNIFORM_PAIR = {"a": "aaab", "b": "bbab"}
 TWO_SCALE = {"a": "aab", "b": "bbaab"}
 BINARY_PISOT_PAIR = {"a": "aab", "b": "ba"}
+
+
+# exact integer matrix oracles, written apart from the library's _intmat
+def mat_vec(a, v):
+    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
+
+
+def mat_power(a, k):
+    n = len(a)
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(k):
+        result = [[sum(r[m] * a[m][j] for m in range(n)) for j in range(n)] for r in result]
+    return result
 
 
 def criterion(number, name, budget=None):

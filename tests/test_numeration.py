@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from substrand import (
     FixedPointStream,
@@ -206,6 +207,56 @@ def test_synchronizing_examples(aab_bbaab, fibonacci):
     with pytest.raises(InputError):
         synchronizing_scan(gf, "a", "b", (0, 5))  # b is not a seed
 
+
+def _check_sync_is_agreement(sub, a, b):
+    """num sync lists exactly {v : x_v = y_v}, read off the expanded streams
+    near 0 and off decode_path just above 10^9."""
+    g = build_prefix_graph(sub)
+    letters = sub.alphabet.letters
+    x = FixedPointStream(sub, a).prefix_indices(2001)
+    y = FixedPointStream(sub, b).prefix_indices(2001)
+    near = synchronizing_scan(g, a, b, (0, 2000))
+    hits = [v for v in range(2001) if x[v] == y[v]]
+    assert [e.value for e in near.entries] == hits
+    assert [e.terminal for e in near.entries] == [letters[x[v]] for v in hits]
+    longest = run = 0
+    for v in range(2001):
+        run = run + 1 if x[v] == y[v] else 0
+        longest = max(longest, run)
+    assert near.max_run == longest
+
+    lo, hi = 10**9 + 1, 10**9 + 200
+    far = {e.value: e for e in synchronizing_scan(g, a, b, (lo, hi)).entries}
+    for v in range(lo, hi + 1):
+        path_a, path_b = encode_integer(g, a, v), encode_integer(g, b, v)
+        end_a = decode_path(g, path_a, materialize=False)
+        end_b = decode_path(g, path_b, materialize=False)
+        assert end_a.value == end_b.value == v
+        if v in far:
+            entry = far[v]
+            assert (entry.path_a, entry.path_b) == (path_a, path_b)
+            assert entry.terminal == end_a.terminal == end_b.terminal
+        else:
+            assert end_a.terminal != end_b.terminal
+
+
+@pytest.mark.parametrize(
+    "rules", [{"a": "aab", "b": "ba"}, {"a": "aab", "b": "bbaab"}, {"a": "abc", "b": "bca", "c": "ab"}]
+)
+def test_sync_is_the_agreement_set(rules):
+    _check_sync_is_agreement(Substitution(rules), "a", "b")
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(*(
+    st.text("abc"[:n], min_size=1, max_size=3) for _ in range(n)
+))))
+def test_sync_is_the_agreement_set_random(tails):
+    # a and b begin their own images, so both are period-1 seeds, and every
+    # image has length >= 2, so the points grow fast enough to reach 10^9
+    letters = "abc"[: len(tails)]
+    rules = {c: (c if c in "ab" else tail[0]) + tail for c, tail in zip(letters, tails)}
+    _check_sync_is_agreement(Substitution(rules), "a", "b")
 
 def test_path_text_round_trip(fibonacci):
     g = build_prefix_graph(fibonacci)
