@@ -31,7 +31,9 @@ it has seen every D value of the closure, and prints what the full scan does.
 ``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
 is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
 --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
-exits 2 before the prefix automaton is built.
+exits 2 before the prefix automaton is built. The last strand of ``strand
+scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6 segments:
+one more exits 2 before any strand is inflated.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
 MATERIALIZE_CAP = 10_000_000
 NUMERATION_CAP = 1_000_000
+STRAND_CAP = 1_000_000
 
 
 def _load_spec(path: str) -> SubstitutionSpec:
@@ -259,6 +262,8 @@ def _cmd_num_encode(args) -> int:
 
 
 def _cmd_num_decode(args) -> int:
+    if args.max_realize < 0:
+        raise InputError(f"--max-realize must be >= 0, got {args.max_realize}")
     _check_cap("--max-realize", args.max_realize)
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
@@ -373,6 +378,14 @@ def _strand_ingredients(args):
         if not seeds:
             raise InputError("no periodic seed found for a default seed word")
         word = sub.alphabet.word(seeds[0][0])
+    # the length of sigma^k(word) never falls as k grows (no image is empty) and,
+    # on the irreducible Pisot inputs the splitting accepts, passes any bound
+    for level in range(1, args.iterations + 1):
+        lengths = sub.image_lengths(level)
+        segments = sum(lengths[i] for i in word.indices)
+        if segments > STRAND_CAP:
+            raise InputError(f"--iterations {args.iterations} exceeds the cap of {STRAND_CAP} "
+                             f"segments ({segments} after {level} inflations)")
     seed = strand_mod.build_strand(word)
     scan = strand_mod.stability_scan(sub, seed, args.iterations, splitting)
     return sub, splitting, scan

@@ -258,11 +258,8 @@ def balanced_pair_closure(x: FixedPointStream, y: FixedPointStream) -> BalancedP
                 if k0 and (zeros := np.flatnonzero(~block.any(axis=1))).size), None)
     if cut is None:
         return BalancedPairClosure(INDETERMINATE, ())
-    lengths = [1] * n  # |sigma^j(a)|, counted before any image is written out
-    for _ in range(period):
-        lengths = [sum(lengths[b] for b in sub.image_indices(a)) for a in range(n)]
-        if max(lengths) > CLOSURE_MAX_LENGTH:
-            return BalancedPairClosure(INDETERMINATE, ())
+    if max(sub.image_lengths(period)) > CLOSURE_MAX_LENGTH:  # counted before any image is written out
+        return BalancedPairClosure(INDETERMINATE, ())
     working = sub.power(period)
     images = [working.image_indices(a) for a in range(n)]
     pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}

@@ -8,9 +8,10 @@ for the prefix
     image^n(u_0) image^(n-1)(u_1) ... image(u_{n-1}) u_n
 
 of the fixed point at the seed, and therefore for the integer equal to that
-prefix's length. Values are computed with exact integer matrix powers; the
-prefix word itself is only materialized on request (it can be astronomically
-long while the path stays short).
+prefix's length. Values are sums of exact image lengths
+(:meth:`substrand.words.Substitution.image_lengths`); the prefix word itself
+is only materialized on request (it can be astronomically long while the
+path stays short).
 
 Path text format: ``a: a.e.a`` (start vertex, dot-separated labels, empty
 label written ``e`` unless the alphabet uses the letter e, in which case the
@@ -21,10 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._intmat import MatrixPowers
 from .errors import InputError
-from .spectral import abelianization_matrix
-from .words import Substitution, Word, abelianize, apply_substitution, seed_period
+from .words import Substitution, Word, apply_substitution, seed_period
 
 DEFAULT_REALIZE_CAP = 10**6
 
@@ -56,7 +55,6 @@ class PrefixGraph:
     def __init__(self, sub: Substitution):
         self.substitution = sub
         self.alphabet = sub.alphabet
-        self._powers = MatrixPowers(abelianization_matrix(sub))
 
     def out_edges(self, vertex: str) -> tuple[PrefixEdge, ...]:
         image = self.substitution.image(vertex)
@@ -74,10 +72,8 @@ class PrefixGraph:
 
     def weight(self, level: int, word: Word) -> int:
         """Exact length of image^level(word)."""
-        return self._powers.image_length(level, abelianize(word))
-
-    def letter_weight(self, level: int, letter_index: int) -> int:
-        return self._powers.column_sums(level)[letter_index]
+        lengths = self.substitution.image_lengths(level)
+        return sum(lengths[i] for i in word.indices)
 
     def require_seed(self, vertex: str) -> None:
         if seed_period(self.substitution, vertex) != 1:
@@ -147,7 +143,7 @@ def decode_path(
 ) -> DecodedValue:
     """Value, terminal vertex, and (optionally) the realized prefix of a path.
 
-    The value is computed with exact matrix powers; the realized word is
+    The value is a sum of exact image lengths; the realized word is
     built only when requested and no longer than realize_cap.
     """
     if path.start not in g.alphabet:
@@ -177,17 +173,17 @@ def _greedy_walk(g: PrefixGraph, start_index: int, value: int) -> tuple[tuple[tu
     """
     if value == 0:
         return (), start_index
+    sub = g.substitution
     levels = 0
-    while g.letter_weight(levels + 1, start_index) <= value:
+    while sub.image_lengths(levels + 1)[start_index] <= value:
         levels += 1
     # levels + 1 labels, exponents levels..0
-    sub = g.substitution
     vertex_index = start_index
     remaining = value
     labels: list[tuple[int, ...]] = []
     for level in range(levels, -1, -1):
         image = sub.image_indices(vertex_index)
-        weights = g._powers.column_sums(level)
+        weights = sub.image_lengths(level)
         # longest image prefix whose weight still fits; prefix weights are
         # strictly increasing partial sums, and the loop invariant
         # remaining < weight(level, whole image) keeps take < len(image)

@@ -16,7 +16,6 @@ from itertools import combinations, count, zip_longest
 
 import numpy as np
 
-from ._intmat import mat_mul
 from .errors import InputError
 from .words import Substitution
 
@@ -141,7 +140,8 @@ def characteristic_polynomial(matrix: list[list[int]]) -> IntPolynomial:
         if k < n:
             for i in range(n):
                 aux[i][i] += c
-            aux = mat_mul(matrix, aux)
+            columns = list(zip(*aux))
+            aux = [[sum(m * a for m, a in zip(row, col)) for col in columns] for row in matrix]
     return IntPolynomial(coeffs)
 
 

@@ -144,7 +144,7 @@ def abelianize(u: Word) -> tuple[int, ...]:
 class Substitution:
     """A map sending each letter to a nonempty word, extended by concatenation."""
 
-    __slots__ = ("alphabet", "_images")
+    __slots__ = ("alphabet", "_images", "_lengths")
 
     def __init__(self, rules: Mapping[str, str | Word], alphabet: Alphabet | None = None):
         if alphabet is None:
@@ -161,12 +161,24 @@ class Substitution:
             raise InputError("rules mention letters outside the alphabet")
         self.alphabet = alphabet
         self._images = tuple(images)
+        self._lengths = [[1] * len(images)]  # image_lengths(k) for k below len
 
     def image(self, letter: str) -> Word:
         return Word(self.alphabet, self._images[self.alphabet.index(letter)])
 
     def image_indices(self, letter_index: int) -> tuple[int, ...]:
         return self._images[letter_index]
+
+    def image_lengths(self, level: int) -> list[int]:
+        """Exact |image^level(a)| of every letter a, in alphabet order, memoized per
+        level (do not modify): |image^(k+1)(a)| sums |image^k(b)| over b in image(a)."""
+        if level < 0:
+            raise InputError("level must be >= 0")
+        lengths = self._lengths
+        while len(lengths) <= level:
+            previous = lengths[-1]
+            lengths.append([sum(previous[b] for b in image) for image in self._images])
+        return lengths[level]
 
     def rules(self) -> dict[str, str]:
         letters = self.alphabet.letters

@@ -48,7 +48,7 @@ TWO_SCALE = {"a": "aab", "b": "bbaab"}
 BINARY_PISOT_PAIR = {"a": "aab", "b": "ba"}
 
 
-# exact integer matrix oracles, written apart from the library's _intmat
+# exact integer matrix oracles, written apart from the library
 def mat_vec(a, v):
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 

@@ -365,6 +365,36 @@ def test_strand_scan_and_export(capsys, fib_spec, tmp_path):
     assert svg_path.read_text().startswith("<svg ")
 
 
+@pytest.mark.parametrize("command", [["strand", "scan"], ["strand", "export", "--csv", "{tmp}/out.csv"]])
+@pytest.mark.parametrize("iterations", [60, 10**6])
+def test_strand_cap_exits_2_before_inflating(capsys, monkeypatch, tmp_path, fib_spec, command, iterations):
+    """|sigma^29(a)| = 1346269 is the first Fibonacci length past the cap; the
+    count stops there, however many iterations were asked for."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("inflated past the cap")
+
+    monkeypatch.setattr(cli.strand_mod, "substitute_strand", refuse)
+    argv = [a.format(tmp=tmp_path) for a in command]
+    assert main([*argv[:2], fib_spec, *argv[2:], "--iterations", str(iterations)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --iterations {iterations} exceeds the cap of {cli.STRAND_CAP} segments "
+        "(1346269 after 29 inflations)\n"
+    )
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_strand_cap_boundary(capsys, monkeypatch, fib_spec):
+    """After 6 inflations the Fibonacci strand of a has |sigma^6(a)| = 21 segments."""
+    monkeypatch.setattr(cli, "STRAND_CAP", 21)
+    code, payload = _run_json(capsys, ["strand", "scan", fib_spec, "--iterations", "6"])
+    assert code == 0 and len(payload["envelopes"]) == 7
+    monkeypatch.setattr(cli, "STRAND_CAP", 20)
+    assert main(["strand", "scan", fib_spec, "--iterations", "6"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --iterations 6 exceeds the cap of 20 segments (21 after 6 inflations)\n"
+    )
+
+
 def test_strand_scan_rejects_non_pisot(capsys, tm_spec):
     code = main(["strand", "scan", tm_spec])
     assert code == 2
@@ -409,6 +439,15 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
         capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", str(MATERIALIZE_CAP)]
     )
     assert code == 0 and payload["value"] == 4
+
+
+def test_num_decode_rejects_negative_max_realize(capsys, fib_spec):
+    assert main(["num", "decode", fib_spec, "a: a.e.a", "--max-realize", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-realize must be >= 0, got -1\n"
+    code, payload = _run_json(capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", "0"])
+    assert code == 0 and payload["value"] == 4 and payload["realized"] is None
 
 
 def test_ipset_verify_reads_letters_without_a_position_set(capsys, monkeypatch, tmp_path, pair_spec):

@@ -157,17 +157,13 @@ def test_cayley_hamilton_exact():
         sub = _random_substitution(rng)
         m = abelianization_matrix(sub)
         poly = characteristic_polynomial(m)
-        n = len(m)
-        from substrand._intmat import identity, mat_mul
-
-        acc = [[0] * n for _ in range(n)]
-        power = identity(n)
+        n, matrix = len(m), sympy.Matrix(m)
+        acc = sympy.zeros(n, n)
+        power = sympy.eye(n)
         for coeff in poly.coeffs:
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += coeff * power[i][j]
-            power = mat_mul(power, m)
-        assert all(all(e == 0 for e in row) for row in acc)
+            acc += coeff * power
+            power = power * matrix
+        assert acc == sympy.zeros(n, n)
 
 
 def test_irreducibility_matches_sympy_on_char_polys():

@@ -147,6 +147,32 @@ def test_period_two_stream_matches_oracle():
     assert stream.prefix_text(40) == oracle_prefix(swap, "a", 40, period=2)
 
 
+@st.composite
+def small_substitutions(draw):
+    """1-4 letters with images of 1-3 letters drawn freely, so that
+    non-primitive inputs and single-letter images occur."""
+    letters = "abcd"[:draw(st.integers(1, 4))]
+    image = st.text(alphabet=letters, min_size=1, max_size=3)
+    return Substitution({a: draw(image) for a in letters})
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub=small_substitutions(), data=st.data())
+def test_image_lengths_are_the_lengths_of_the_images(sub, data):
+    letters = sub.alphabet.letters
+    words = data.draw(st.lists(st.text(alphabet=letters, max_size=4), max_size=3))
+    graph = build_prefix_graph(sub)
+    for k in range(8, -1, -1):  # level 8 first: the table grows by several levels at once
+        def image_length(w):
+            return len(w) if k == 0 else len(apply_substitution(sub, w, k))
+
+        assert sub.image_lengths(k) == [image_length(a) for a in letters]
+        for w in words:
+            assert graph.weight(k, sub.alphabet.word(w)) == image_length(w)
+    with pytest.raises(InputError, match="level must be >= 0"):
+        sub.image_lengths(-1)
+
+
 def test_substitution_power(fibonacci):
     squared = fibonacci.power(2)
     assert squared.rules() == {"a": "aba", "b": "ab"}
