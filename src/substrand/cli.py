@@ -33,7 +33,9 @@ is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
 --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
 exits 2 before the prefix automaton is built. The last strand of ``strand
 scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6 segments:
-one more exits 2 before any strand is inflated.
+one more exits 2 before any strand is inflated. The weight column of ``num
+graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, counted from
+the image lengths before any weight is computed.
 """
 
 from __future__ import annotations
@@ -42,25 +44,28 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import coincidence as coin
-from . import ipsets, numeration, points, spectral, strand as strand_mod
 from .errors import InputError, SubstrandError
-from .words import FixedPointStream, Substitution, SubstitutionSpec, list_periodic_seeds
-from .words import parse_substitution_spec
+
+if TYPE_CHECKING:
+    from .words import FixedPointStream, Substitution, SubstitutionSpec
 
 DEFAULT_HORIZON = 100_000
 DEEP_HORIZON_CAP = 10_000_000
 MATERIALIZE_CAP = 10_000_000
 NUMERATION_CAP = 1_000_000
 STRAND_CAP = 1_000_000
+WEIGHTS_CAP = 10_000_000
 
 
 def _load_spec(path: str) -> SubstitutionSpec:
+    from .words import parse_substitution_spec
+
     p = Path(path)
     try:
         text = p.read_text()
@@ -106,6 +111,8 @@ def _check_cap(flag: str, value: int, cap: int = MATERIALIZE_CAP, unit: str = "l
 
 def _stream_pair(sub: Substitution, a: str, b: str) -> tuple[FixedPointStream, FixedPointStream, int]:
     """Streams for two seeds and their common period (the lcm of the periods)."""
+    from .words import FixedPointStream
+
     x, y = FixedPointStream(sub, a), FixedPointStream(sub, b)
     return x, y, math.lcm(x.period, y.period)
 
@@ -122,6 +129,8 @@ def _parse_seeds(value: str) -> tuple[str, str]:
 
 
 def _cmd_classify(args) -> int:
+    from . import spectral
+
     spec = _load_spec(args.spec)
     report = spectral.classify(spec.substitution)
     payload = report.to_json_dict()
@@ -131,6 +140,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_expand(args) -> int:
+    from .words import FixedPointStream
+
     _check_cap("--length", args.length)
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
@@ -144,6 +155,9 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_occurrences(args) -> int:
+    from . import points
+    from .words import FixedPointStream
+
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
     occ = points.occurrences(stream, args.factor, _horizon(args))
@@ -152,6 +166,9 @@ def _cmd_occurrences(args) -> int:
 
 
 def _cmd_gaps(args) -> int:
+    from . import points
+    from .words import FixedPointStream
+
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
     occ = points.occurrences(stream, args.factor, _horizon(args))
@@ -167,6 +184,8 @@ def _cmd_gaps(args) -> int:
 
 
 def _cmd_proximal(args) -> int:
+    from . import points
+
     spec = _load_spec(args.spec)
     a, b = _parse_seeds(args.seeds)
     x, y, _ = _stream_pair(spec.substitution, a, b)
@@ -186,6 +205,10 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
     When the balanced-pair closure proves there is no witness, that scan
     stops once it has seen every closure D value.
     """
+    from dataclasses import replace
+
+    from . import coincidence as coin
+
     x, y, period = _stream_pair(sub, a, b)
     verdict = coin.find_strong_coincidence(x, y, horizon)
     if deep and not verdict.found and horizon < DEEP_HORIZON_CAP:
@@ -201,6 +224,8 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
 
 
 def _cmd_coincide(args) -> int:
+    from .words import list_periodic_seeds
+
     spec = _load_spec(args.spec)
     sub = spec.substitution
     if args.seeds:
@@ -223,9 +248,13 @@ def _cmd_coincide(args) -> int:
 
 
 def _cmd_num_graph(args) -> int:
+    from . import numeration
+
     if args.weights is not None and args.weights < 0:
         raise InputError(f"--weights must be >= 0, got {args.weights}")
     spec = _load_spec(args.spec)
+    if args.weights is not None:
+        _check_weight_digits(spec.substitution, args.weights)
     graph = numeration.build_prefix_graph(spec.substitution)
     if args.weights is not None:
         rows = ["letter,prefix,level,weight"]
@@ -247,7 +276,22 @@ def _cmd_num_graph(args) -> int:
     return 0
 
 
+def _check_weight_digits(sub: Substitution, levels: int) -> None:
+    """Refuse ``--weights levels`` once the weight column would pass
+    WEIGHTS_CAP digits: a weight of a proper prefix of sigma(a) at level k is
+    below |sigma^(k+1)(a)|, and sigma(a) has |sigma(a)| such prefixes."""
+    rows = sub.image_lengths(1)
+    digits = 0
+    for level in range(levels + 1):
+        digits += sum(r * len(str(n)) for r, n in zip(rows, sub.image_lengths(level + 1)))
+        if digits > WEIGHTS_CAP:
+            raise InputError(f"--weights {levels} exceeds the cap of {WEIGHTS_CAP} digits "
+                             f"({digits} by level {level})")
+
+
 def _cmd_num_encode(args) -> int:
+    from . import numeration
+
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     path = numeration.encode_integer(graph, args.start, args.value)
@@ -262,18 +306,23 @@ def _cmd_num_encode(args) -> int:
 
 
 def _cmd_num_decode(args) -> int:
-    if args.max_realize < 0:
-        raise InputError(f"--max-realize must be >= 0, got {args.max_realize}")
-    _check_cap("--max-realize", args.max_realize)
+    from . import numeration
+
+    realize_cap = numeration.DEFAULT_REALIZE_CAP if args.max_realize is None else args.max_realize
+    if realize_cap < 0:
+        raise InputError(f"--max-realize must be >= 0, got {realize_cap}")
+    _check_cap("--max-realize", realize_cap)
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
     path = numeration.parse_path(spec.substitution, args.path)
-    decoded = numeration.decode_path(graph, path, realize_cap=args.max_realize)
+    decoded = numeration.decode_path(graph, path, realize_cap=realize_cap)
     _emit(args, decoded.to_json_dict(), str(decoded.value))
     return 0
 
 
 def _cmd_num_list(args) -> int:
+    from . import numeration
+
     _check_cap("--count", args.count, NUMERATION_CAP, "values")
     spec = _load_spec(args.spec)
     graph = numeration.build_prefix_graph(spec.substitution)
@@ -285,6 +334,8 @@ def _cmd_num_list(args) -> int:
 
 
 def _cmd_num_sync(args) -> int:
+    from . import numeration
+
     lo, hi = args.range
     _check_cap("--range width", hi - lo + 1, NUMERATION_CAP, "values")
     spec = _load_spec(args.spec)
@@ -296,6 +347,8 @@ def _cmd_num_sync(args) -> int:
 
 
 def _cmd_ipset_build(args) -> int:
+    from . import coincidence as coin, ipsets
+
     spec = _load_spec(args.spec)
     sub = spec.substitution
     horizon = _horizon(args)
@@ -311,6 +364,9 @@ def _cmd_ipset_build(args) -> int:
 
 
 def _cmd_ipset_verify(args) -> int:
+    from . import coincidence as coin, ipsets, numeration
+    from .words import require_seed_period
+
     spec = _load_spec(args.spec)
     sub = spec.substitution
     horizon = _horizon(args)
@@ -327,7 +383,7 @@ def _cmd_ipset_verify(args) -> int:
             raise InputError(f"--generators expects integers, got {args.generators!r}")
         family = ipsets.FsFamily(generators, ipsets.SEARCHED)
         start, factor = args.seed, args.factor
-        period = FixedPointStream(sub, start).period
+        period = require_seed_period(sub, start)
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
@@ -353,6 +409,9 @@ def _cmd_ipset_verify(args) -> int:
 
 
 def _cmd_ipset_search(args) -> int:
+    from . import ipsets, points
+    from .words import FixedPointStream
+
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
     horizon = _horizon(args)
@@ -366,11 +425,14 @@ def _cmd_ipset_search(args) -> int:
 
 
 def _strand_ingredients(args):
+    from . import spectral, strand
+    from .words import list_periodic_seeds
+
     spec = _load_spec(args.spec)
     sub = spec.substitution
     report = spectral.classify(sub)
     matrix = spectral.abelianization_matrix(sub)
-    splitting = strand_mod.invariant_splitting(report, matrix)
+    splitting = strand.invariant_splitting(report, matrix)
     if args.seed_word:
         word = sub.alphabet.word(args.seed_word)
     else:
@@ -386,8 +448,8 @@ def _strand_ingredients(args):
         if segments > STRAND_CAP:
             raise InputError(f"--iterations {args.iterations} exceeds the cap of {STRAND_CAP} "
                              f"segments ({segments} after {level} inflations)")
-    seed = strand_mod.build_strand(word)
-    scan = strand_mod.stability_scan(sub, seed, args.iterations, splitting)
+    seed = strand.build_strand(word)
+    scan = strand.stability_scan(sub, seed, args.iterations, splitting)
     return sub, splitting, scan
 
 
@@ -400,15 +462,17 @@ def _cmd_strand_scan(args) -> int:
 def _cmd_strand_export(args) -> int:
     if not args.csv and not args.svg:
         raise InputError("strand export needs --csv and/or --svg")
+    from . import strand
+
     _, splitting, scan = _strand_ingredients(args)
     written = {}
     if args.csv:
         with open(args.csv, "w") as fh:
-            written["csv_rows"] = strand_mod.write_scan_csv(scan, splitting, fh)
+            written["csv_rows"] = strand.write_scan_csv(scan, splitting, fh)
         written["csv"] = args.csv
     if args.svg:
         with open(args.svg, "w") as fh:
-            written["svg_points"] = strand_mod.write_stable_scatter_svg(
+            written["svg_points"] = strand.write_stable_scatter_svg(
                 scan.strands[-1], splitting, fh
             )
         written["svg"] = args.svg
@@ -427,8 +491,18 @@ def _add_common(p, *, fmt=True):
     p.add_argument("--output", help="write the result to this file instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """No option starts with a digit, so a token like "-3,5" or "-5:3" is a
+    value, for the handler to check, not an unknown option; subcommand
+    parsers take the class of their parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="substrand",
         description="Analyze substitutions: classification, coincidence, numeration, IP sets, strands.",
     )
@@ -499,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = num.add_parser("decode", help="path text -> integer")
     p.add_argument("spec")
     p.add_argument("path")
-    p.add_argument("--max-realize", type=int, default=numeration.DEFAULT_REALIZE_CAP)
+    p.add_argument("--max-realize", type=int, default=None)
     _add_common(p)
     p.set_defaults(handler=_cmd_num_decode)
 

@@ -19,12 +19,15 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .coincidence import CoincidenceWitness
 from .errors import InputError
 from .numeration import PathRepresentation, PrefixGraph, build_prefix_graph, decode_path, letter_at
-from .points import OccurrenceSet
 from .words import Substitution, Word, apply_substitution
+
+if TYPE_CHECKING:
+    from .coincidence import CoincidenceWitness
+    from .points import OccurrenceSet
 
 SEARCHED = "searched"
 # highest power of the substitution tried for embedding a witness

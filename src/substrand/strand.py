@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -322,7 +323,8 @@ def max_stable_delta_norm(
 
 def write_scan_csv(scan: StabilityScan, splitting: InvariantSplitting, out: TextIO) -> int:
     """One row per segment: iteration, vertex, type, expanding coefficient,
-    stable coordinates. Returns the number of rows written."""
+    stable coordinates (12 significant digits). Returns the number of rows
+    written."""
     n = splitting.projector_stable.shape[0]
     k = splitting.stable_dimension
     header = (
@@ -332,16 +334,18 @@ def write_scan_csv(scan: StabilityScan, splitting: InvariantSplitting, out: Text
         + [f"s{i}" for i in range(k)]
     )
     out.write(",".join(header) + "\n")
+    row = ",".join(["%d"] * (n + 1) + ["%s"] + ["%.12g"] * (k + 1)) + "\n"
     rows = 0
     for iteration, strand in enumerate(scan.strands):
         vertices = strand.vertices()[:-1]
-        coeffs = splitting.expanding_coefficient(vertices).tolist()
-        coords = splitting.stable_coords(vertices).tolist()
-        out.writelines(
-            ",".join([str(iteration), *map(str, vertex), letter, _fmt(coeff), *map(_fmt, stable)])
-            + "\n"
-            for vertex, letter, coeff, stable in zip(vertices.tolist(), strand.word, coeffs, coords)
+        columns = (
+            repeat(iteration),
+            *vertices.T.tolist(),
+            map(strand.word.alphabet.letters.__getitem__, strand.word.indices),
+            splitting.expanding_coefficient(vertices).tolist(),
+            *splitting.stable_coords(vertices).T.tolist(),
         )
+        out.writelines(map(row.__mod__, zip(*columns)))
         rows += len(strand)
     return rows
 
@@ -360,7 +364,7 @@ def write_stable_scatter_svg(
     coords = splitting.stable_coords(strand.vertices())[:, :2]
     points = np.zeros((len(coords), 2))
     points[:, : coords.shape[1]] = coords
-    types = strand.word.indices + strand.word.indices[-1:]
+    colors = [_PALETTE[i % len(_PALETTE)] for i in strand.word.indices + strand.word.indices[-1:]]
     out.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}" '
         f'width="{_SVG_SIZE}" height="{_SVG_SIZE}">\n'
@@ -372,14 +376,7 @@ def write_stable_scatter_svg(
         scaled = (points - low) * ((_SVG_SIZE - 2 * _SVG_MARGIN) / span)
         xs = (_SVG_MARGIN + scaled[:, 0]).tolist()
         ys = (_SVG_SIZE - _SVG_MARGIN - scaled[:, 1]).tolist()
-        out.writelines(
-            f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{_SVG_POINT_RADIUS}" '
-            f'fill="{_PALETTE[letter_index % len(_PALETTE)]}" fill-opacity="0.8"/>\n'
-            for px, py, letter_index in zip(xs, ys, types)
-        )
+        row = f'<circle cx="%.3f" cy="%.3f" r="{_SVG_POINT_RADIUS}" fill="%s" fill-opacity="0.8"/>\n'
+        out.writelines(map(row.__mod__, zip(xs, ys, colors)))
     out.write("</svg>\n")
     return len(points)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")

@@ -286,6 +286,18 @@ def seed_period(sub: Substitution, letter: str) -> int | None:
     return None
 
 
+def require_seed_period(sub: Substitution, letter: str) -> int:
+    """The least period of a seed (:func:`seed_period`); InputError for a letter
+    that is not a seed."""
+    period = seed_period(sub, letter)
+    if period is None:
+        raise InputError(
+            f"{letter!r} is not a periodic seed: no power of the substitution "
+            "maps it to a longer word that starts with it"
+        )
+    return period
+
+
 def list_periodic_seeds(sub: Substitution) -> list[tuple[str, int]]:
     """All (letter, least period) of the seeds, in alphabet order (see :func:`seed_period`)."""
     return [(a, p) for a in sub.alphabet if (p := seed_period(sub, a)) is not None]
@@ -304,12 +316,7 @@ class FixedPointStream:
     """
 
     def __init__(self, substitution: Substitution, seed: str):
-        period = seed_period(substitution, seed)
-        if period is None:
-            raise InputError(
-                f"{seed!r} is not a periodic seed: no power of the substitution "
-                "maps it to a longer word that starts with it"
-            )
+        period = require_seed_period(substitution, seed)
         self.substitution = substitution
         self.seed = seed
         self.period = period

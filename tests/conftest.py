@@ -374,3 +374,49 @@ def oracle_write_stable_scatter_svg(segments, splitting, out, size=800, margin=4
             )
     out.write("</svg>\n")
     return len(points)
+
+
+def oracle_per_field_scan_csv(scan, splitting, out):
+    """The CSV writer that formats each field in Python: ``str`` for the
+    integers, ``format(x, ".12g")`` for the floats."""
+    n = splitting.projector_stable.shape[0]
+    k = splitting.stable_dimension
+    header = ["iteration", *(f"v{i}" for i in range(n)), "type", "expanding_coefficient",
+              *(f"s{i}" for i in range(k))]
+    out.write(",".join(header) + "\n")
+    rows = 0
+    for iteration, strand in enumerate(scan.strands):
+        vertices = strand.vertices()[:-1]
+        coeffs = splitting.expanding_coefficient(vertices).tolist()
+        coords = splitting.stable_coords(vertices).tolist()
+        for vertex, letter, coeff, stable in zip(vertices.tolist(), strand.word, coeffs, coords):
+            row = [str(iteration), *map(str, vertex), letter, _fmt(coeff), *map(_fmt, stable)]
+            out.write(",".join(row) + "\n")
+        rows += len(strand)
+    return rows
+
+
+def oracle_per_field_scatter_svg(strand, splitting, out, size=800, margin=40.0, point_radius=1.5):
+    """The SVG writer that formats each point with an f-string."""
+    coords = splitting.stable_coords(strand.vertices())[:, :2]
+    points = np.zeros((len(coords), 2))
+    points[:, : coords.shape[1]] = coords
+    types = strand.word.indices + strand.word.indices[-1:]
+    out.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}" '
+        f'width="{size}" height="{size}">\n'
+    )
+    out.write(f'<rect width="{size}" height="{size}" fill="white"/>\n')
+    if len(points):
+        low = points.min(axis=0)
+        span = max(float((points.max(axis=0) - low).max()), 1e-12)
+        scaled = (points - low) * ((size - 2 * margin) / span)
+        xs = (margin + scaled[:, 0]).tolist()
+        ys = (size - margin - scaled[:, 1]).tolist()
+        for px, py, letter_index in zip(xs, ys, types):
+            out.write(
+                f'<circle cx="{px:.3f}" cy="{py:.3f}" r="{point_radius}" '
+                f'fill="{_PALETTE[letter_index % len(_PALETTE)]}" fill-opacity="0.8"/>\n'
+            )
+    out.write("</svg>\n")
+    return len(points)

@@ -9,8 +9,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points
-from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main, parse_substitution_spec
+import substrand
+from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points, strand
+from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main
+from substrand.words import parse_substitution_spec
 from conftest import oracle_deep_coincide
 
 
@@ -148,6 +150,27 @@ def test_num_weights_rejects_negative_levels(capsys, fib_spec):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --weights must be >= 0, got -1\n"
+
+
+def test_num_weights_cap_exits_2_before_any_weight(capsys, monkeypatch, fib_spec):
+    """On Fibonacci each level adds 2 digits bounded by |sigma^(k+1)(a)| and one
+    by |sigma^(k+1)(b)|: 3 + 3 + 3 + 3 digits for levels 0-3, then 2*2 + 1 for
+    13 and 8."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a weight past the cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(numeration.PrefixGraph, "weight", refuse)
+        assert main(["num", "graph", fib_spec, "--weights", "1000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --weights 1000000 exceeds the cap of {cli.WEIGHTS_CAP} digits (")
+        monkeypatch.setattr(cli, "WEIGHTS_CAP", 16)
+        assert main(["num", "graph", fib_spec, "--weights", "4"]) == 2
+        assert capsys.readouterr().err == "error: --weights 4 exceeds the cap of 16 digits (17 by level 4)\n"
+    monkeypatch.setattr(cli, "WEIGHTS_CAP", 17)
+    assert main(["num", "graph", fib_spec, "--weights", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "b,,4,0"
 
 
 def test_num_sync(capsys, tmp_path):
@@ -373,7 +396,7 @@ def test_strand_cap_exits_2_before_inflating(capsys, monkeypatch, tmp_path, fib_
     def refuse(*args, **kwargs):
         raise AssertionError("inflated past the cap")
 
-    monkeypatch.setattr(cli.strand_mod, "substitute_strand", refuse)
+    monkeypatch.setattr(strand, "substitute_strand", refuse)
     argv = [a.format(tmp=tmp_path) for a in command]
     assert main([*argv[:2], fib_spec, *argv[2:], "--iterations", str(iterations)]) == 2
     assert capsys.readouterr().err == (
@@ -577,9 +600,16 @@ def test_format_flag_only_where_there_is_a_text_rendering(capsys, tmp_path, pair
 
 
 def test_ipset_verify_rejects_negative_generators(capsys, pair_spec):
-    argv = ["ipset", "verify", pair_spec, "--generators=-3,5", "--seed", "a", "--factor", "b"]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == "error: generators must be >= 0\n"
+    # a value that starts with "-" reaches the range check, with or without "="
+    for generators in (["--generators=-3,5"], ["--generators", "-3,5"], ["--generators", "-3"]):
+        argv = ["ipset", "verify", pair_spec, *generators, "--seed", "a", "--factor", "b"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: generators must be >= 0\n"
+
+
+def test_num_sync_rejects_a_negative_range(capsys, fib_spec):
+    assert main(["num", "sync", fib_spec, "--starts", "a,a", "--range", "-5:3"]) == 2
+    assert capsys.readouterr().err == "error: range must satisfy 0 <= lo <= hi\n"
 
 
 @pytest.mark.parametrize("flag", ["--output", "--csv", "--svg"])
@@ -642,6 +672,53 @@ def test_library_import_loads_neither_cli_nor_scipy():
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+_MODULES_PROBE = (
+    "import json, runpy, sys\n"
+    "sys.argv = ['substrand', *json.loads(sys.argv[1])]\n"
+    "try:\n"
+    "    runpy.run_module('substrand', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('substrand', 'numpy'))\n"
+    "print(json.dumps([code, loaded]), file=sys.stderr)\n"
+)
+
+
+def _modules_after(argv):
+    """Exit code of ``python -m substrand *argv`` and the substrand and numpy
+    modules it loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(argv)],
+                            capture_output=True, text=True, env=env, check=True)
+    return json.loads(result.stderr.splitlines()[-1])
+
+
+def test_start_up_imports_only_what_the_command_runs(fib_spec):
+    start_up = ["substrand", "substrand.cli", "substrand.errors"]
+    assert _modules_after(["--help"]) == [0, start_up]
+    assert _modules_after(["ipset", "verify", "--generators", "1"]) == [2, start_up]
+    code, loaded = _modules_after(["classify", fib_spec])
+    assert code == 0 and "substrand.spectral" in loaded
+    assert not {f"substrand.{m}" for m in ("coincidence", "ipsets", "numeration", "points", "strand")} & set(loaded)
+
+
+def test_package_names_load_on_first_use():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, substrand\n"
+        "before = sorted(m for m in sys.modules if m.startswith('substrand.'))\n"
+        "listed = set(substrand.__all__) <= set(dir(substrand))\n"
+        "from substrand import *\n"
+        "print(before, listed, len(substrand.__all__))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[] True 70"
+    with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+        substrand.nonesuch
 
 
 def test_strand_commands_run_without_scipy(tmp_path):

@@ -1,12 +1,14 @@
 import functools
 import io
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from substrand import (
+    Alphabet,
     FixedPointStream,
     InputError,
     Substitution,
@@ -27,6 +29,8 @@ from substrand import (
 from conftest import (
     oracle_build_strand,
     oracle_conjugation_error,
+    oracle_per_field_scan_csv,
+    oracle_per_field_scatter_svg,
     oracle_stable_envelope,
     oracle_substitute_strand,
     oracle_vertices,
@@ -325,4 +329,62 @@ def test_tribonacci_scan_matches_segment_oracles(tribonacci):
     got, expected = io.StringIO(), io.StringIO()
     write_stable_scatter_svg(scan.strands[-1], sp, got)
     oracle_write_stable_scatter_svg(strands[-1], sp, expected)
+    assert got.getvalue() == expected.getvalue()
+
+
+class _DrawnReadouts:
+    """Stands in for an InvariantSplitting whose readouts of m vertices are the
+    first m drawn rows, so that the writers meet floats that no projection of
+    a small strand yields."""
+
+    def __init__(self, n, coefficients, coordinates):
+        self.projector_stable = np.zeros((n, n))
+        self.stable_dimension = coordinates.shape[1]
+        self._coefficients, self._coordinates = coefficients, coordinates
+
+    def expanding_coefficient(self, vertices):
+        return self._coefficients[: len(vertices)]
+
+    def stable_coords(self, vertices):
+        return self._coordinates[: len(vertices)]
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e300, -1e300,
+                   0.1, 1 / 3, 123456789012.5, 1e16, 1e-5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_export_writers_match_the_per_field_writers(data):
+    """``%d``, ``%.12g`` and ``%.3f`` print what ``str``, ``format(x, ".12g")``
+    and the ``.3f`` f-string print: -0.0, subnormals, +-1e300 and int64
+    vertices above 2**53 included."""
+    n = data.draw(st.integers(1, 3))
+    alphabet = Alphabet("abc"[:n])
+    int64 = np.iinfo(np.int64)
+    strands = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        word = Word(alphabet, data.draw(st.lists(st.integers(0, n - 1), max_size=12)))
+        entry = st.one_of(st.integers(-3, 3), st.integers(2**53 - 3, 2**53 + 3),
+                          st.integers(int(int64.min), int(int64.max) - len(word)))
+        strands.append(build_strand(word, data.draw(st.lists(entry, min_size=n, max_size=n))))
+    rows = max(len(s) for s in strands) + 1
+    k = data.draw(st.integers(0, 3))
+
+    def readouts(value):
+        coefficients = data.draw(st.lists(value, min_size=rows, max_size=rows))
+        coordinates = data.draw(st.lists(value, min_size=rows * k, max_size=rows * k))
+        return _DrawnReadouts(n, np.array(coefficients), np.array(coordinates).reshape(rows, k))
+
+    # the CSV prints any float; the SVG scales its points, so they stay finite
+    csv_readouts = readouts(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()))
+    scan = SimpleNamespace(strands=tuple(strands))
+    got, expected = io.StringIO(), io.StringIO()
+    assert write_scan_csv(scan, csv_readouts, got) == oracle_per_field_scan_csv(scan, csv_readouts, expected)
+    assert got.getvalue() == expected.getvalue()
+
+    svg_readouts = readouts(st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(-1e300, 1e300)))
+    got, expected = io.StringIO(), io.StringIO()
+    assert (write_stable_scatter_svg(strands[-1], svg_readouts, got)
+            == oracle_per_field_scatter_svg(strands[-1], svg_readouts, expected))
     assert got.getvalue() == expected.getvalue()
