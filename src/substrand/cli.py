@@ -15,7 +15,8 @@ the family and refuses ``--count``.
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative or when the reader closes stdout early (a broken
 pipe, reported by the exit code alone), 2 on input errors and on output paths
-that cannot be written.
+that cannot be written. Exact integers are read and printed in full, however
+many digits they have.
 
 The default scan horizon is 100000 and can be overridden with the
 ``SUBSTRAND_HORIZON`` environment variable or per-command flags. When no
@@ -657,6 +658,8 @@ def _parse_range(value: str) -> tuple[int, int]:
 
 
 def main(argv=None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # exact integers print in full, past 4300 digits too
+        sys.set_int_max_str_digits(0)
     try:
         parser = _build_parser()
         try:

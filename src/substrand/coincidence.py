@@ -110,26 +110,17 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     """Yield ``(k0, block)``, int64 rows ``block[i] = D_{k0+i}``, for k in [0, horizon]
     in increasing order; the first block holds D_0 alone.
 
-    When a block is yielded the streams hold at least x_0..x_{k0+len(block)-1}.
-    They grow with the scan, so a consumer that stops early expands them about
-    as far as it read. Each growth at least doubles, and from past a quarter of
-    horizon + 1 letters it goes straight there: a stream doubles its buffer on
-    any shorter request, which would overshoot the horizon.
+    Each block asks the streams for just the letters it reads, so a consumer
+    that stops early expands them about as far as it read.
     """
     _check_pair(x, y)
     n = len(x.alphabet)
     rows = max(1, _BLOCK_CELLS // n)
     delta = np.zeros((1, n), dtype=np.int64)
     yield 0, delta
-    grown = 0
     for j in range(0, horizon, rows):
         end = min(j + rows, horizon)
-        if end >= grown:
-            grown = max(end + 1, 2 * grown)
-            grown = horizon + 1 if 4 * grown > horizon else grown
-            xs = x.prefix_indices(grown)
-            ys = y.prefix_indices(grown)
-        block = _differences(xs[j:end], ys[j:end], n)
+        block = _differences(x.prefix_indices(end)[j:], y.prefix_indices(end)[j:], n)
         block += delta
         delta = block[-1:].copy()
         yield j + 1, block

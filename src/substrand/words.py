@@ -309,10 +309,11 @@ class FixedPointStream:
     The working substitution is ``substitution ** period``, where ``period``
     is the seed's least period (:func:`seed_period`); every multiple of it
     spells the same point. The buffer, an array of dtype
-    ``np.min_scalar_type(len(alphabet) - 1)``, only ever grows, by
-    applying the working substitution to the current prefix and truncating
-    on a doubling schedule (amortized linear in output length); the images
-    are gathered ``_BLOCK_CELLS`` source letters at a time.
+    ``np.min_scalar_type(len(alphabet) - 1)``, is the image of its own first
+    ``expanded`` letters, and it only grows by appending the images of the
+    next letters, so each letter is written once (linear in the prefix
+    length for every growth type); the images are gathered ``_BLOCK_CELLS``
+    source letters at a time.
     """
 
     def __init__(self, substitution: Substitution, seed: str):
@@ -327,36 +328,34 @@ class FixedPointStream:
         self._image_letters = np.array([i for im in images for i in im], dtype=dtype)
         self._image_lengths = np.array([len(im) for im in images], dtype=np.intp)
         self._image_starts = np.cumsum(self._image_lengths) - self._image_lengths
-        self._buf = np.array([seed_index], dtype=dtype)
+        # invariant: _buf == working(_buf[:_expanded]); _buf is the filled view of _store
+        self._store = np.array(images[seed_index], dtype=dtype)
+        self._buf, self._expanded = self._store, 1
 
     @property
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
 
     def _ensure(self, length: int) -> None:
-        buf = self._buf
-        # at least double per call (growing by small steps stays linear), but every
-        # round of one call aims at the same target, so the call stops within an image of it
-        target = max(length, 2 * len(buf))
-        while len(buf) < length:
-            # whole images of the shortest prefix of buf that reaches target
-            out = np.empty(target + int(self._image_lengths.max()), dtype=buf.dtype)
-            filled = 0
-            for start in range(0, len(buf), _BLOCK_CELLS):
-                block = buf[start:start + _BLOCK_CELLS]
-                lengths = self._image_lengths[block]
-                ends = np.cumsum(lengths)
-                used = int(np.searchsorted(ends, target - filled)) + 1
-                block, lengths, ends = block[:used], lengths[:used], ends[:used]
-                # output position p in the image of block[j] reads image_starts[block[j]] + p - ends[j] + lengths[j]
-                gather = np.repeat(self._image_starts[block] - ends + lengths, lengths)
-                gather += np.arange(len(gather))
-                out[filled:filled + len(gather)] = self._image_letters[gather]
-                filled += len(gather)
-                if filled >= target:
-                    break
-            buf = out[:filled]
-        self._buf = buf
+        while len(self._buf) < length:
+            filled, start = len(self._buf), self._expanded
+            # each image is nonempty: length - filled source letters reach length
+            block = self._buf[start:start + min(length - filled, _BLOCK_CELLS)]
+            lengths = self._image_lengths[block]
+            ends = np.cumsum(lengths)
+            used = int(np.searchsorted(ends, length - filled)) + 1
+            block, lengths, ends = block[:used], lengths[:used], ends[:used]
+            end = filled + int(ends[-1])
+            if end > len(self._store):  # room for the whole request, and at least double
+                store = np.empty(max(2 * len(self._store), length + int(self._image_lengths.max())),
+                                 dtype=self._store.dtype)
+                store[:filled] = self._buf
+                self._store = store
+            # output position p in the image of block[j] reads image_starts[block[j]] + p - ends[j] + lengths[j]
+            gather = np.repeat(self._image_starts[block] - ends + lengths, lengths)
+            gather += np.arange(len(gather))
+            self._store[filled:end] = self._image_letters[gather]
+            self._buf, self._expanded = self._store[:end], start + len(block)
 
     def expand(self, length: int) -> Word:
         """The prefix of the periodic point of the given length (idempotent)."""

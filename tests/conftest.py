@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from substrand import (
+    FixedPointStream,
     Substitution,
     Word,
     abelianization_matrix,
@@ -53,6 +54,36 @@ def oracle_prefix(sub, seed, length, period=1):
     while len(word) < length:
         word = apply_substitution(sub, word, period)
     return str(word)[:length]
+
+
+class _CountingImages(np.ndarray):
+    """A stream's table of image letters that adds the size of every gather
+    from it to the stream's count."""
+
+    def __getitem__(self, item):
+        out = super().__getitem__(item)
+        self.counts[self.stream] += np.size(out)
+        return out
+
+
+def spy_letters_written(monkeypatch):
+    """Patch ``FixedPointStream._ensure`` to count the letters each stream
+    writes: the image of the seed it starts from, then every letter gathered
+    from its image table. Returns the counts, keyed by stream; a stream that
+    writes each letter once has written exactly its buffer."""
+    counts = {}
+    ensure = FixedPointStream._ensure
+
+    def spy(self, length):
+        if self not in counts:
+            counts[self] = len(self._buf)
+            images = self._image_letters.view(_CountingImages)
+            images.counts, images.stream = counts, self
+            self._image_letters = images
+        return ensure(self, length)
+
+    monkeypatch.setattr(FixedPointStream, "_ensure", spy)
+    return counts
 
 
 def oracle_seed_period(sub, letter):

@@ -13,7 +13,7 @@ import substrand
 from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points, strand
 from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main
 from substrand.words import parse_substitution_spec
-from conftest import oracle_deep_coincide
+from conftest import oracle_deep_coincide, oracle_prefix, oracle_scan, spy_letters_written
 
 
 @pytest.fixture
@@ -274,6 +274,28 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     assert code == 1 and horizons == [5000]
     assert main(argv + ["0"]) == 2
     assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+
+
+def test_coincide_on_polynomial_growth_writes_each_letter_once(capsys, monkeypatch, tmp_path):
+    # sigma^m(a) = a c^m: each expansion step gains one letter, and a stream
+    # that rewrote its prefix per step would write about horizon^2 / 2 letters
+    p = tmp_path / "poly.sub"
+    p.write_text("a -> ac\nb -> bc\nc -> c\n")
+    horizon = 20_000
+    sub = parse_substitution_spec(p.read_text()).substitution
+    xs, ys = ([seed] + [2] * (horizon - 1) for seed in (0, 1))
+    for seed, letters in zip("ab", (xs, ys)):
+        assert oracle_prefix(sub, seed, 300) == "".join("abc"[i] for i in letters[:300])
+    witness, first_seen = oracle_scan(xs, ys, horizon, 3, stop_at_witness=False)
+    assert witness is None
+    expected = {"seeds": ["a", "b"], "period": 1, "horizon": horizon, "witness": None,
+                "delta_values": sorted(map(list, first_seen)),
+                "stabilized": max(first_seen.values()) < horizon // 2}
+    written = spy_letters_written(monkeypatch)
+    code, payload = _run_json(capsys, ["coincide", str(p), "--seeds", "a,b", "--horizon", str(horizon)])
+    assert code == 0 and payload["pairs"] == [expected]
+    # at most one image of sigma (2 letters) past the horizon
+    assert len(written) == 2 and all(horizon <= count <= horizon + 2 for count in written.values())
 
 
 def test_coincide_deep_falls_back_to_the_scan_when_the_closure_is_indeterminate(capsys, tmp_path):
@@ -746,6 +768,35 @@ def test_strand_commands_run_without_scipy(tmp_path):
     assert result.stderr.strip() == "[0, 0]"
     assert csv.read_text().startswith("iteration,v0,v1,v2,type,expanding_coefficient,s0,s1\n")
     assert svg.read_text().endswith("</svg>\n")
+
+
+def _decimal(value):
+    """Decimal digits of a nonnegative int of any size, converted 1000 at a time."""
+    chunks = []
+    while True:
+        value, chunk = divmod(value, 10 ** 1000)
+        if not value:
+            return str(chunk) + "".join(reversed(chunks))
+        chunks.append(f"{chunk:01000d}")
+
+
+def test_num_decode_prints_values_past_4300_digits(fib_spec):
+    # Fibonacci: |sigma^m(a)| = L_m with L_0 = 1, L_1 = 2; the path a.e.a.e... of
+    # 24000 labels sums L_m over the odd m up to 23999, a value of about 5000 digits
+    labels = 24_000
+    lengths = [1, 2]
+    while len(lengths) < labels:
+        lengths.append(lengths[-1] + lengths[-2])
+    expected = _decimal(sum(lengths[1::2]))
+    assert len(expected) > 4300
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    path = "a: " + ".".join(["a", "e"] * (labels // 2))
+    argv = [sys.executable, "-m", "substrand", "num", "decode", fib_spec, path, "--max-realize", "0"]
+    result = subprocess.run(argv + ["--format", "text"], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected + "\n", "")
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert result.returncode == 0 and f'"value": {expected}\n' in result.stdout
 
 
 def test_closed_stdout_exits_quietly(fib_spec):

@@ -13,6 +13,7 @@ from substrand import (
     find_strong_coincidence,
     validate_witness,
 )
+from conftest import spy_letters_written
 
 
 def _streams(sub, a="a", b="b"):
@@ -147,19 +148,10 @@ def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon
     from substrand import coincidence
 
     monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
-    grows = []  # (letters held, letters asked for) of each call that grows a buffer
-    ensure = FixedPointStream._ensure
-
-    def spy(self, length):
-        if length > len(self._buf):
-            grows.append((len(self._buf), length))
-        return ensure(self, length)
-
-    monkeypatch.setattr(FixedPointStream, "_ensure", spy)
+    written = spy_letters_written(monkeypatch)
     x, y = _streams(Substitution(dict(zip("ab", images))))
     assert find_strong_coincidence(x, y, horizon).witness is None
     for stream in (x, y):
         assert horizon <= len(stream._buf) < horizon + len(images[0])
-    # the last growth of each stream starts from at most a quarter of the horizon,
-    # so little of the old buffer is alive while the new one fills
-    assert all(held <= horizon // 4 + len(images[0]) for held, _ in grows[-2:])
+        # each letter is written once, however many calls the scan made
+        assert written[stream] == len(stream._buf)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from substrand import words
 from substrand import (
     Alphabet,
     FixedPointStream,
@@ -16,7 +17,7 @@ from substrand import (
     expand,
     list_periodic_seeds,
 )
-from conftest import oracle_prefix, oracle_seed_period
+from conftest import oracle_prefix, oracle_seed_period, spy_letters_written
 
 
 def test_alphabet_rejects_duplicates_and_multichar():
@@ -145,6 +146,40 @@ def test_period_two_stream_matches_oracle():
     stream = FixedPointStream(swap, "a")
     assert stream.period == 2
     assert stream.prefix_text(40) == oracle_prefix(swap, "a", 40, period=2)
+
+
+@st.composite
+def polynomial_growth(draw):
+    """Each letter maps to itself and then to later letters, the last one to
+    itself alone: the point at a grows like a polynomial of degree up to 3."""
+    letters = "abcd"[:draw(st.integers(2, 4))]
+    images = {}
+    for i, a in enumerate(letters):
+        later = st.text(alphabet=letters[i + 1:], min_size=1 if i == 0 else 0, max_size=2)
+        images[a] = a + draw(later)
+    return Substitution(images)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sub=st.one_of(first_letter_cycles(), polynomial_growth()), data=st.data())
+def test_stream_appends_each_letter_once(sub, data):
+    seeds = list_periodic_seeds(sub)
+    assume(seeds)
+    seed, period = data.draw(st.sampled_from(seeds))
+    requests = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=8))
+    cells = data.draw(st.integers(1, 13))
+    reference = oracle_prefix(sub, seed, max(requests) + max(sub.image_lengths(period)), period)
+    letters = sub.alphabet.letters
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "_BLOCK_CELLS", cells)
+        written = spy_letters_written(mp)
+        stream = FixedPointStream(sub, seed)
+        for length in requests:
+            assert stream.prefix_text(length) == reference[:length]
+            # the buffer past the request is right too, and no letter of it was written twice
+            buffer = "".join(letters[i] for i in stream._buf.tolist())
+            assert len(buffer) >= length and buffer == reference[:len(buffer)]
+            assert written[stream] == len(buffer)
 
 
 @st.composite
