@@ -28,7 +28,9 @@ the expansion early. When the balanced-pair closure (Sirvent & Solomyak,
 Canad. Math. Bull. 45, 2002) proves there is no witness, that scan stops once
 it has seen every D value of the closure, and prints what the full scan does.
 
-``expand --length`` and ``num decode --max-realize`` are capped at
+``expand --length``, ``num decode --max-realize`` and the horizon of
+``occurrences``, ``gaps``, ``proximal`` and ``ipset search`` (from the flag or
+``SUBSTRAND_HORIZON``), which read every letter below it, are capped at
 ``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
 is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
 --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
@@ -90,6 +92,13 @@ def _default_horizon() -> int:
 
 def _horizon(args) -> int:
     return args.horizon if args.horizon is not None else _default_horizon()
+
+
+def _scan_horizon(args) -> int:
+    """The horizon of a scan that reads every letter below it: capped like ``expand --length``."""
+    horizon = _horizon(args)
+    _check_cap("--horizon" if args.horizon is not None else "SUBSTRAND_HORIZON", horizon)
+    return horizon
 
 
 def _emit(args, payload, text: str | None = None) -> None:
@@ -159,10 +168,12 @@ def _cmd_occurrences(args) -> int:
     from . import points
     from .words import FixedPointStream
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, _horizon(args))
-    _emit(args, occ.to_json_dict(), occ.to_text())
+    occ = points.occurrences(stream, args.factor, horizon)
+    text = args.format == "text"  # one rendering: each makes its own Python ints
+    _emit(args, None if text else occ.to_json_dict(), occ.to_text() if text else None)
     return 0
 
 
@@ -170,9 +181,10 @@ def _cmd_gaps(args) -> int:
     from . import points
     from .words import FixedPointStream
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, _horizon(args))
+    occ = points.occurrences(stream, args.factor, horizon)
     gap = points.max_return_gap(occ)
     payload = {
         "factor": str(occ.factor),
@@ -187,10 +199,11 @@ def _cmd_gaps(args) -> int:
 def _cmd_proximal(args) -> int:
     from . import points
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     a, b = _parse_seeds(args.seeds)
     x, y, _ = _stream_pair(spec.substitution, a, b)
-    evidence = points.proximality_scan(x, y, args.min_window, _horizon(args))
+    evidence = points.proximality_scan(x, y, args.min_window, horizon)
     _emit(args, evidence.to_json_dict())
     if args.expect_evidence and evidence.verdict != points.EVIDENCE_FOR:
         return 1
@@ -413,9 +426,9 @@ def _cmd_ipset_search(args) -> int:
     from . import ipsets, points
     from .words import FixedPointStream
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     stream = FixedPointStream(spec.substitution, args.seed)
-    horizon = _horizon(args)
     occ = points.occurrences(stream, args.factor, horizon)
     family = ipsets.search_ip_witness(occ, args.depth)
     if family is None:

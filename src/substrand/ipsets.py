@@ -230,18 +230,17 @@ def verify_finite_sums(
 def search_ip_witness(occ: OccurrenceSet, depth: int) -> FsFamily | None:
     """Backtracking search for `depth` generators with all subset sums in the set.
 
-    Candidates are the positive occurrence positions (0 would make sums
-    degenerate); the first family in lexicographic order is returned, or
-    None when the search space below the horizon is exhausted.
+    Candidates, and the members every sum is looked up in, are the positive
+    occurrence positions; the first family in lexicographic order is
+    returned, or None when the search space below the horizon is exhausted.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    positions = occ.positions
-    candidates = [p for p in positions if p >= 1]
+    candidates = occ.positions[occ.positions.searchsorted(1):].tolist()  # sorted: a view
 
     def occurs(total: int) -> bool:
-        i = bisect_left(positions, total)
-        return i < len(positions) and positions[i] == total
+        i = bisect_left(candidates, total)
+        return i < len(candidates) and candidates[i] == total
 
     def extend(chosen: list[int], sums: set[int], next_index: int):
         if len(chosen) == depth:

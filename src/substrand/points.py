@@ -8,9 +8,7 @@ words agree on arbitrarily long windows.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -23,17 +21,18 @@ NONE_FOUND = "NoneFound"
 _BLOCK_CELLS = 1 << 16  # candidate starts per block of the occurrence scan: bounds memory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccurrenceSet:
     """Positions below the horizon where the factor occurs in the stream's word.
 
-    Positions are strictly increasing and every occurrence fits entirely
-    below the horizon (p + |factor| <= horizon).
+    ``positions`` is a read-only int64 array (Python ints only when printed),
+    strictly increasing, and every occurrence fits entirely below the horizon
+    (p + |factor| <= horizon).
     """
 
     factor: Word
     horizon: int
-    positions: tuple[int, ...]
+    positions: np.ndarray
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -42,12 +41,12 @@ class OccurrenceSet:
         return {
             "factor": str(self.factor),
             "horizon": self.horizon,
-            "positions": list(self.positions),
+            "positions": self.positions.tolist(),
         }
 
     def to_text(self) -> str:
         """One position per line (pipe-friendly)."""
-        return "\n".join(str(p) for p in self.positions)
+        return "\n".join(map(str, self.positions.tolist()))
 
 
 def occurrences(stream: FixedPointStream, factor: Word | str, horizon: int) -> OccurrenceSet:
@@ -55,7 +54,7 @@ def occurrences(stream: FixedPointStream, factor: Word | str, horizon: int) -> O
 
     Candidates are the positions of the factor's first letter, found a block
     at a time and narrowed letter by letter, so a long factor costs little
-    more than its first letter.
+    more than its first letter; the blocks' positions are joined once.
     """
     factor = stream.alphabet.word(factor)
     if len(factor) == 0:
@@ -65,27 +64,28 @@ def occurrences(stream: FixedPointStream, factor: Word | str, horizon: int) -> O
     letters = stream.prefix_indices(horizon)
     starts = horizon - len(factor) + 1  # occurrences start below this
     first, rest = factor.indices[0], factor.indices[1:]
-    positions: list[int] = []
+    blocks = []
     for j in range(0, starts, _BLOCK_CELLS):
-        found = np.flatnonzero(letters[j:min(j + _BLOCK_CELLS, starts)] == first)
-        found += j
+        found = np.flatnonzero(letters[j:min(j + _BLOCK_CELLS, starts)] == first) + j
         for i, a in enumerate(rest, 1):
             found = found[letters[found + i] == a]
-        positions += found.tolist()
-    return OccurrenceSet(factor, horizon, tuple(positions))
+        blocks.append(found)
+    positions = np.concatenate(blocks).astype(np.int64, copy=False)
+    positions.flags.writeable = False
+    return OccurrenceSet(factor, horizon, positions)
 
 
 def max_return_gap(occ: OccurrenceSet) -> int | None:
     """Largest gap between consecutive occurrences, counting the gap from 0.
 
-    Returns None with fewer than two occurrences. A value that stabilizes
-    while the horizon grows is desk-scale evidence of bounded gaps
-    (uniform recurrence).
+    Returns an int, or None with fewer than two occurrences. A value that
+    stabilizes while the horizon grows is desk-scale evidence of bounded
+    gaps (uniform recurrence).
     """
     pos = occ.positions
     if len(pos) < 2:
         return None
-    return max(pos[0], max(map(operator.sub, islice(pos, 1, None), pos)))
+    return int(max(pos[0], np.diff(pos).max()))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import InputError
 
-# Source letters per gather step of the expansion: bounds its int64
-# temporaries to a few MB whatever the prefix length.
+# Letters written per round of the expansion (plus the rest of one image):
+# bounds its int64 temporaries to a few MB whatever the prefix length.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -312,8 +312,8 @@ class FixedPointStream:
     ``np.min_scalar_type(len(alphabet) - 1)``, is the image of its own first
     ``expanded`` letters, and it only grows by appending the images of the
     next letters, so each letter is written once (linear in the prefix
-    length for every growth type); the images are gathered ``_BLOCK_CELLS``
-    source letters at a time.
+    length for every growth type); a round writes up to ``_BLOCK_CELLS`` letters,
+    plus the rest of one image, from about as many source letters as needed.
     """
 
     def __init__(self, substitution: Substitution, seed: str):
@@ -339,11 +339,12 @@ class FixedPointStream:
     def _ensure(self, length: int) -> None:
         while len(self._buf) < length:
             filled, start = len(self._buf), self._expanded
-            # each image is nonempty: length - filled source letters reach length
-            block = self._buf[start:start + min(length - filled, _BLOCK_CELLS)]
+            want = min(length - filled, _BLOCK_CELLS)
+            # _buf is the image of its first start letters: filled / start is the mean image length
+            block = self._buf[start:start + max(1, want * start // filled)]
             lengths = self._image_lengths[block]
             ends = np.cumsum(lengths)
-            used = int(np.searchsorted(ends, length - filled)) + 1
+            used = int(np.searchsorted(ends, want)) + 1
             block, lengths, ends = block[:used], lengths[:used], ends[:used]
             end = filled + int(ends[-1])
             if end > len(self._store):  # room for the whole request, and at least double

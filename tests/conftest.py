@@ -58,27 +58,31 @@ def oracle_prefix(sub, seed, length, period=1):
 
 class _CountingImages(np.ndarray):
     """A stream's table of image letters that adds the size of every gather
-    from it to the stream's count."""
+    from it to the stream's count, and keeps the largest one."""
 
     def __getitem__(self, item):
         out = super().__getitem__(item)
         self.counts[self.stream] += np.size(out)
+        self.largest[self.stream] = max(self.largest.get(self.stream, 0), np.size(out))
         return out
 
 
-def spy_letters_written(monkeypatch):
+def spy_letters_written(monkeypatch, largest=None):
     """Patch ``FixedPointStream._ensure`` to count the letters each stream
     writes: the image of the seed it starts from, then every letter gathered
     from its image table. Returns the counts, keyed by stream; a stream that
-    writes each letter once has written exactly its buffer."""
+    writes each letter once has written exactly its buffer. A ``largest``
+    dict receives each stream's largest single gather: the letters of its
+    largest expansion round."""
     counts = {}
+    largest = {} if largest is None else largest
     ensure = FixedPointStream._ensure
 
     def spy(self, length):
         if self not in counts:
             counts[self] = len(self._buf)
             images = self._image_letters.view(_CountingImages)
-            images.counts, images.stream = counts, self
+            images.counts, images.largest, images.stream = counts, largest, self
             self._image_letters = images
         return ensure(self, length)
 

@@ -13,7 +13,14 @@ import substrand
 from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points, strand
 from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main
 from substrand.words import parse_substitution_spec
-from conftest import oracle_deep_coincide, oracle_prefix, oracle_scan, spy_letters_written
+from conftest import (
+    oracle_deep_coincide,
+    oracle_max_return_gap,
+    oracle_occurrences,
+    oracle_prefix,
+    oracle_scan,
+    spy_letters_written,
+)
 
 
 @pytest.fixture
@@ -484,6 +491,47 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
         capsys, ["num", "decode", fib_spec, "a: a.e.a", "--max-realize", str(MATERIALIZE_CAP)]
     )
     assert code == 0 and payload["value"] == 4
+
+
+@pytest.mark.parametrize("command", [
+    ["occurrences", "--seed", "a", "--factor", "b"],
+    ["gaps", "--seed", "a", "--factor", "b"],
+    ["proximal", "--seeds", "a,b"],
+    ["ipset", "search", "--seed", "a", "--factor", "b"],
+])
+def test_scan_horizon_cap_exits_2_before_expanding(capsys, monkeypatch, pair_spec, command):
+    def refuse(*args, **kwargs):
+        raise AssertionError("expanded past the cap")
+
+    argv = [*command, pair_spec]
+    over = str(MATERIALIZE_CAP + 1)
+    monkeypatch.setattr(FixedPointStream, "_ensure", refuse)
+    assert main(argv + ["--horizon", over]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --horizon {over} exceeds the cap of {MATERIALIZE_CAP} letters\n"
+    monkeypatch.setenv("SUBSTRAND_HORIZON", over)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: SUBSTRAND_HORIZON {over} exceeds the cap of {MATERIALIZE_CAP} letters\n"
+
+
+def test_positions_print_as_json_and_text_across_blocks(capsys, monkeypatch, pair_spec):
+    monkeypatch.setattr(points, "_BLOCK_CELLS", 7)
+    horizon = 500
+    text = oracle_prefix(parse_substitution_spec("a -> aab\nb -> ba\n").substitution, "a", horizon)
+    for factor in ("b", "ab", "aab"):
+        expected = list(oracle_occurrences(text, factor))
+        argv = [pair_spec, "--seed", "a", "--factor", factor, "--horizon", str(horizon)]
+        code, payload = _run_json(capsys, ["occurrences", *argv])
+        assert code == 0 and payload["positions"] == expected
+        assert main(["occurrences", *argv, "--format", "text"]) == 0
+        assert capsys.readouterr().out == "".join(f"{p}\n" for p in expected)
+        code, payload = _run_json(capsys, ["gaps", *argv])
+        assert code == 0
+        assert payload == {"factor": factor, "horizon": horizon, "count": len(expected),
+                           "max_return_gap": oracle_max_return_gap(expected)}
 
 
 def test_num_decode_rejects_negative_max_realize(capsys, fib_spec):

@@ -160,19 +160,29 @@ def polynomial_growth(draw):
     return Substitution(images)
 
 
+@st.composite
+def long_images_late(draw):
+    """The seed's image is a run of letters with one-letter images, and their
+    images are long: the next images outgrow the buffer's mean image length."""
+    run, long = draw(st.integers(1, 12)), draw(st.integers(2, 9))
+    return Substitution({"a": "a" + "b" * run, "b": "c", "c": "c" * long})
+
+
 @settings(max_examples=100, deadline=None)
-@given(sub=st.one_of(first_letter_cycles(), polynomial_growth()), data=st.data())
+@given(sub=st.one_of(first_letter_cycles(), polynomial_growth(), long_images_late()), data=st.data())
 def test_stream_appends_each_letter_once(sub, data):
     seeds = list_periodic_seeds(sub)
     assume(seeds)
     seed, period = data.draw(st.sampled_from(seeds))
     requests = data.draw(st.lists(st.integers(0, 300), min_size=1, max_size=8))
     cells = data.draw(st.integers(1, 13))
-    reference = oracle_prefix(sub, seed, max(requests) + max(sub.image_lengths(period)), period)
+    longest_image = max(sub.image_lengths(period))
+    reference = oracle_prefix(sub, seed, max(requests) + longest_image, period)
     letters = sub.alphabet.letters
+    largest = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(words, "_BLOCK_CELLS", cells)
-        written = spy_letters_written(mp)
+        written = spy_letters_written(mp, largest)
         stream = FixedPointStream(sub, seed)
         for length in requests:
             assert stream.prefix_text(length) == reference[:length]
@@ -180,6 +190,8 @@ def test_stream_appends_each_letter_once(sub, data):
             buffer = "".join(letters[i] for i in stream._buf.tolist())
             assert len(buffer) >= length and buffer == reference[:len(buffer)]
             assert written[stream] == len(buffer)
+            # a round stops at the first image that reaches its cells
+            assert largest.get(stream, 0) <= cells + longest_image - 1
 
 
 @st.composite
