@@ -32,11 +32,14 @@ it has seen every D value of the closure, and prints what the full scan does.
 ``occurrences``, ``gaps``, ``proximal`` and ``ipset search`` (from the flag or
 ``SUBSTRAND_HORIZON``), which read every letter below it, are capped at
 ``MATERIALIZE_CAP`` = 10**7 letters: a larger value exits 2 before anything
-is expanded. ``num list --count`` and the width hi - lo + 1 of ``num sync
---range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a larger value
-exits 2 before the prefix automaton is built. The last strand of ``strand
-scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6 segments:
-one more exits 2 before any strand is inflated. The weight column of ``num
+is expanded. So is the horizon of ``coincide`` and ``ipset build``, whose
+scan reads every letter below it when there is no witness. ``ipset verify``
+keeps an uncapped horizon: it also bounds the subset sums, which it reads
+off the prefix automaton. ``num list --count`` and the width hi - lo + 1 of
+``num sync --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a
+larger value exits 2 before the prefix automaton is built. The last strand
+of ``strand scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6
+segments: one more exits 2 before any strand is inflated. The weight column of ``num
 graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, counted from
 the image lengths before any weight is computed.
 """
@@ -240,6 +243,7 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
 def _cmd_coincide(args) -> int:
     from .words import list_periodic_seeds
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     sub = spec.substitution
     if args.seeds:
@@ -250,7 +254,7 @@ def _cmd_coincide(args) -> int:
     results = []
     all_found = bool(pairs)
     for a, b in pairs:
-        verdict, period = _coincide_pair(sub, a, b, _horizon(args), args.deep)
+        verdict, period = _coincide_pair(sub, a, b, horizon, args.deep)
         entry = {"seeds": [a, b], "period": period}
         entry.update(verdict.to_json_dict())
         results.append(entry)
@@ -363,9 +367,9 @@ def _cmd_num_sync(args) -> int:
 def _cmd_ipset_build(args) -> int:
     from . import coincidence as coin, ipsets
 
+    horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
     sub = spec.substitution
-    horizon = _horizon(args)
     a, b = _parse_seeds(args.seeds)
     x, y, period = _stream_pair(sub, a, b)
     verdict = coin.find_strong_coincidence(x, y, horizon)
@@ -378,7 +382,7 @@ def _cmd_ipset_build(args) -> int:
 
 
 def _cmd_ipset_verify(args) -> int:
-    from . import coincidence as coin, ipsets, numeration
+    from . import ipsets, numeration
     from .words import require_seed_period
 
     spec = _load_spec(args.spec)
@@ -401,6 +405,8 @@ def _cmd_ipset_verify(args) -> int:
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
+        from . import coincidence as coin
+
         start, b = _parse_seeds(args.seeds)
         x, y, period = _stream_pair(sub, start, b)
         verdict = coin.find_strong_coincidence(x, y, horizon)

@@ -2,19 +2,20 @@
 
 Primitivity, the characteristic polynomial (exact integers throughout),
 irreducibility over the rationals, Pisot classification with certified
-root-modulus bounds, and Perron eigendata.
+root-modulus bounds, and Perron eigendata, all in pure Python (no numpy).
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
-
-import numpy as np
+from operator import mul, ne, or_
 
 from .errors import InputError
 from .words import Substitution
@@ -40,20 +41,28 @@ def is_primitive(matrix: list[list[int]]) -> tuple[bool, int | None]:
     """Whether some power of the matrix is entrywise positive.
 
     Returns the smallest witnessing exponent, using boolean positivity
-    patterns only. The patterns of B^k are eventually periodic, so a pattern
-    seen before ends the search; the Wielandt bound (n-1)^2 + 1 caps it.
+    patterns only, one bitset per row. The patterns of B^k are eventually
+    periodic, so a pattern seen before ends the search; the Wielandt bound
+    (n-1)^2 + 1 caps it.
     """
     n = len(matrix)
-    base = np.array([[e > 0 for e in row] for row in matrix])
+    base = [sum(1 << j for j, e in enumerate(row) if e > 0) for row in matrix]
+    full = (1 << n) - 1
     pattern, seen = base, set()
     for k in range(1, (n - 1) ** 2 + 2):
-        if pattern.all():
+        if all(row == full for row in pattern):
             return True, k
-        if pattern.tobytes() in seen:
+        if tuple(pattern) in seen:
             break
-        seen.add(pattern.tobytes())
-        pattern = pattern @ base
+        seen.add(tuple(pattern))
+        pattern = _boolean_product(pattern, base)
     return False, None
+
+
+def _boolean_product(left: list[int], right: list[int]) -> list[int]:
+    """Boolean matrix product of bitset rows: row i is the OR of the rows of
+    ``right`` picked by the bits of row i of ``left``."""
+    return [reduce(or_, (r for j, r in enumerate(right) if row >> j & 1), 0) for row in left]
 
 
 class IntPolynomial:
@@ -85,17 +94,6 @@ class IntPolynomial:
         for k in range(self.degree, 0, -1):
             result = result * x + k * self.coeffs[k]
         return result
-
-    def deflate(self, root: int) -> "IntPolynomial":
-        """Exact synthetic division by (x - root); the root must be exact."""
-        quotient = []
-        carry = 0
-        for c in reversed(self.coeffs):
-            carry = carry * root + c
-            quotient.append(carry)
-        if quotient.pop() != 0:
-            raise InputError(f"{root} is not a root")
-        return IntPolynomial(tuple(reversed(quotient)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
@@ -163,7 +161,7 @@ def _integer_roots(poly: IntPolynomial) -> tuple[list[int], IntPolynomial]:
         for candidate in (d, -d):
             while current.degree > 0 and current(candidate) == 0:
                 roots.append(candidate)
-                current = current.deflate(candidate)
+                current = IntPolynomial(_monic_divmod(current.coeffs, (-candidate, 1))[0])
     return roots, current
 
 
@@ -171,22 +169,26 @@ def _divisors(n: int) -> list[int]:
     return [k for d in range(1, math.isqrt(n) + 1) if n % d == 0 for k in (d, n // d)]
 
 
-def _squarefree_over_q(coeffs: tuple[int, ...]) -> bool:
-    """Whether gcd(f, f') is constant (Euclid on primitive pseudo-remainders)."""
-    a, b = list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]
-    while len(b) > 1:
-        r = a
+def _sturm_sequence(coeffs: tuple[int, ...]) -> list[list[int]]:
+    """f, f' and the negated primitive pseudo-remainders of Euclid, down to a
+    constant or to gcd(f, f') (degree >= 1). Every multiplier is positive, so
+    this is a Sturm sequence: the sign changes of its leading coefficients at
+    -inf minus those at +inf count the distinct real roots."""
+    seq = [list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]]
+    while len(seq[-1]) > 1:
+        r, b = seq[-2], seq[-1]
+        sign = 1 if b[-1] > 0 else -1
         while len(r) >= len(b):
-            shift, lead = len(r) - len(b), r[-1]
-            r = [c * b[-1] for c in r[:-1]]
+            shift, lead = len(r) - len(b), r[-1] * sign
+            r = [c * abs(b[-1]) for c in r[:-1]]
             for i, bi in enumerate(b[:-1]):
                 r[shift + i] -= lead * bi
             r = _trim(r)
         if r == [0]:
-            return False
+            break
         g = math.gcd(*r)
-        a, b = b, [c // g for c in r]
-    return True
+        seq.append([-c // g for c in r])
+    return seq
 
 
 # Polynomials modulo q are ascending coefficient lists without trailing zeros
@@ -290,14 +292,14 @@ def _hensel_lift(f, factors: list[list[int]], p: int, bound: int) -> tuple[list[
     return lifted, q
 
 
-def _divides(candidate: list[int], poly: IntPolynomial) -> bool:
-    """Exact long division over the integers by a monic candidate."""
-    rem = list(poly.coeffs)
-    for shift in range(len(rem) - len(candidate), -1, -1):
-        lead = rem[shift + len(candidate) - 1]
-        for i, c in enumerate(candidate):
+def _monic_divmod(f, g) -> tuple[list[int], list[int]]:
+    """Exact long division over the integers by a monic g: (quotient, remainder)."""
+    rem, quotient = list(f), [0] * (len(f) - len(g) + 1)
+    for shift in range(len(f) - len(g), -1, -1):
+        lead = quotient[shift] = rem[shift + len(g) - 1]
+        for i, c in enumerate(g):
             rem[shift + i] -= lead * c
-    return not any(rem)
+    return quotient, rem
 
 
 def is_irreducible(poly: IntPolynomial) -> bool:
@@ -317,7 +319,7 @@ def is_irreducible(poly: IntPolynomial) -> bool:
     if n <= 0:
         raise InputError("irreducibility needs degree >= 1")
     f = poly.coeffs
-    if not _squarefree_over_q(f):
+    if len(_sturm_sequence(f)[-1]) > 1:  # gcd(f, f') is not constant
         return False
     deriv = [k * c for k, c in enumerate(f)][1:]
     degrees = (1 << n) - 2  # bit d set: a factor of degree d is still possible
@@ -349,7 +351,7 @@ def is_irreducible(poly: IntPolynomial) -> bool:
             if degrees >> sum(len(g) - 1 for g in subset) & 1:
                 product = reduce(lambda a, g: _pmul(a, g, q), subset, [1])
                 candidate = [c - q if c > q // 2 else c for c in product]
-                if _divides(candidate, poly):
+                if not any(_monic_divmod(poly.coeffs, candidate)[1]):
                     return False
     return True
 
@@ -380,8 +382,6 @@ class RootBound:
             if self.modulus > 1:
                 return "outside"
             return "on-circle"
-        from fractions import Fraction
-
         norm2 = Fraction(self.real) ** 2 + Fraction(self.imag) ** 2
         if self.radius < 1 and norm2 < (1 - Fraction(self.radius)) ** 2:
             return "inside"
@@ -399,23 +399,9 @@ class RootBound:
         }
 
 
-def _newton_polish(poly: IntPolynomial, z: complex) -> complex:
-    for _ in range(12):
-        dp = poly.derivative_at(z)
-        if dp == 0:
-            return z
-        step = poly(z) / dp
-        z = z - step
-        if abs(step) < 1e-16 * max(1.0, abs(z)):
-            break
-    return z
-
-
 def _certified_radius(poly: IntPolynomial, z: complex) -> float:
     """The smallest float r with r^2 >= deg^2 |p(z)|^2 / |p'(z)|^2, evaluated
     exactly over the Gaussian rationals (z.real and z.imag are dyadic)."""
-    from fractions import Fraction
-
     x, y = Fraction(z.real), Fraction(z.imag)
 
     def norm2_at(coeffs):
@@ -427,7 +413,11 @@ def _certified_radius(poly: IntPolynomial, z: complex) -> float:
     slope = norm2_at([k * c for k, c in enumerate(poly.coeffs)][1:])
     if slope == 0:
         return math.inf
-    target = poly.degree**2 * norm2_at(poly.coeffs) / slope
+    return _sqrt_up(poly.degree**2 * norm2_at(poly.coeffs) / slope)
+
+
+def _sqrt_up(target) -> float:
+    """The smallest float r with r^2 >= target (a nonnegative Fraction)."""
     r = math.sqrt(target)
     while Fraction(r) ** 2 < target:
         r = math.nextafter(r, math.inf)
@@ -436,41 +426,102 @@ def _certified_radius(poly: IntPolynomial, z: complex) -> float:
     return r
 
 
+def _aberth(poly: IntPolynomial) -> list[complex]:
+    """Approximations to all roots by Aberth-Ehrlich iteration (Aberth 1973;
+    Bini, Numer. Algorithms 13, 1996), from a circle of radius |p(0)|^(1/n)."""
+    n = poly.degree
+    z = [cmath.rect(abs(poly.coeffs[0]) ** (1 / n), 2 * math.pi * k / n + 0.5) for k in range(n)]
+    for _ in range(500):
+        moved = False
+        for i, zi in enumerate(z):
+            p = poly(zi)
+            repulsion = sum(1 / (zi - zj) for zj in z[:i] + z[i + 1:])
+            denominator = poly.derivative_at(zi) - p * repulsion
+            if denominator:
+                z[i] = zi - p / denominator
+                moved = moved or abs(z[i] - zi) > 1e-14 * abs(z[i])
+        if not moved:
+            break
+    return z
+
+
+def _numeric_roots(poly: IntPolynomial) -> list[complex]:
+    """The roots of a polynomial without rational roots, a repeated root once
+    per multiplicity. The distinct roots are those of f / gcd(f, f'), and the
+    Sturm count r of the real ones puts the r Aberth iterates nearest the real
+    axis on it (imaginary part exactly 0.0); the others pair up as exact
+    conjugates of those in the upper half-plane."""
+    if poly.degree == 0:
+        return []
+    seq = _sturm_sequence(poly.coeffs)
+    common = IntPolynomial(c // seq[-1][-1] for c in seq[-1])  # gcd(f, f'), monic
+    distinct = IntPolynomial(_monic_divmod(poly.coeffs, common.coeffs)[0])
+    plus = [s[-1] > 0 for s in seq]  # the signs at +inf, then at -inf
+    minus = [sign ^ (len(s) % 2 == 0) for sign, s in zip(plus, seq)]
+    real = sum(map(ne, minus, minus[1:])) - sum(map(ne, plus, plus[1:]))
+    guesses = sorted(_aberth(distinct), key=lambda z: abs(z.imag))
+    upper = sorted(guesses[real:], key=lambda z: -z.imag)[: (distinct.degree - real) // 2]
+    pairs = [w for z in upper for w in (z, z.conjugate())]
+    return [complex(z.real) for z in guesses[:real]] + pairs + _numeric_roots(common)
+
+
 def certified_roots(poly: IntPolynomial) -> list[RootBound]:
     """All roots: exact rational ones divided out first, the rest numeric
-    (companion-matrix eigenvalues polished by Newton) with certified radii."""
+    (Aberth iterates) with certified radii."""
     rational, remainder = _integer_roots(poly)
-    bounds = [
-        RootBound(float(r), 0.0, float(abs(r)), 0.0, True) for r in rational
-    ]
-    if remainder.degree > 0:
-        raw = np.roots([float(c) for c in reversed(remainder.coeffs)])
-        for z0 in raw:
-            z = _newton_polish(remainder, complex(z0))
-            radius = _certified_radius(remainder, z)
-            bounds.append(RootBound(z.real, z.imag, abs(z), radius, False))
+    bounds = [RootBound(float(r), 0.0, float(abs(r)), 0.0, True) for r in rational]
+    for z in _numeric_roots(remainder):
+        bounds.append(RootBound(z.real, z.imag, abs(z), _certified_radius(remainder, z), False))
     bounds.sort(key=lambda b: (-b.modulus, b.real, b.imag))
     return bounds
 
 
 def perron_data(matrix: list[list[int]]) -> tuple[float, tuple[float, ...], float]:
-    """Perron eigenvalue and unit positive right eigenvector from one dense
-    eigensolve.
+    """Perron eigenvalue and unit positive right eigenvector, by inverse
+    iteration from the root of the characteristic polynomial of largest real
+    part.
 
-    The Perron root is the eigenvalue of largest real part: for a primitive
-    matrix it is real, simple and strictly dominant, and its eigenvector is
-    positive up to sign. Returns (eigenvalue, vector, residual) where
-    residual = ||Mw - lw||_2.
+    For a primitive matrix that root is real, simple and strictly dominant,
+    and its eigenvector is positive up to sign. Returns (eigenvalue, vector,
+    residual) where residual is ||Mw - lw||_2 evaluated exactly at the float
+    l and w, rounded up.
     """
-    m = np.array(matrix, dtype=float)
-    values, vectors = np.linalg.eig(m)
-    k = int(np.argmax(values.real))
-    eigenvalue = float(values[k].real)
+    rational, remainder = _integer_roots(characteristic_polynomial(matrix))
+    eigenvalue = max([*rational, *(z.real for z in _numeric_roots(remainder))])
     if eigenvalue <= 0:
         raise InputError("matrix has no positive Perron root")
-    v = np.abs(vectors[:, k].real)
-    residual = float(np.linalg.norm(m @ v - eigenvalue * v))
-    return eigenvalue, tuple(float(x) for x in v), residual
+    return _perron_vector(matrix, float(eigenvalue))
+
+
+def _perron_vector(matrix: list[list[int]], eigenvalue: float) -> tuple[float, tuple[float, ...], float]:
+    """(eigenvalue, vector, residual) as in :func:`perron_data`, by two steps
+    of inverse iteration at a simple real eigenvalue l. Each solves
+    (M - lI) y = w by Gauss-Jordan elimination with partial pivoting (a zero
+    pivot, as at an exact l, becomes eps ||M||) and refreshes l by the
+    Rayleigh quotient."""
+    n, w = len(matrix), [1.0] * len(matrix)
+    tiny = 2.0**-52 * max(1, max(sum(map(abs, row)) for row in matrix))
+    for _ in range(2):
+        rows = [[e - eigenvalue * (i == j) for j, e in enumerate(row)] + [x]
+                for i, (row, x) in enumerate(zip(matrix, w))]
+        for col in range(n):
+            top = max(range(col, n), key=lambda r: abs(rows[r][col]))
+            rows[col], rows[top] = rows[top], rows[col]
+            pivot = rows[col]
+            pivot[col] = pivot[col] or tiny
+            for row in rows:
+                if row is not pivot:
+                    factor = row[col] / pivot[col]
+                    row[col:] = [a - factor * b for a, b in zip(row[col:], pivot[col:])]
+        y = [row[n] / row[i] for i, row in enumerate(rows)]
+        norm = math.hypot(*y)
+        w = [abs(v) / norm for v in y]
+        mw = [math.fsum(map(mul, row, w)) for row in matrix]
+        eigenvalue = math.fsum(map(mul, w, mw)) / math.fsum(map(mul, w, w))
+    exact = [Fraction(x) for x in w]
+    residual = sum((sum(map(mul, row, exact)) - Fraction(eigenvalue) * x) ** 2
+                   for row, x in zip(matrix, exact))
+    return eigenvalue, tuple(w), _sqrt_up(residual)
 
 
 @dataclass(frozen=True)
@@ -537,7 +588,7 @@ def classify(sub: Substitution) -> ClassificationReport:
     bounds = certified_roots(poly)
     dominant = bounds[0]
     dilation = dominant.modulus
-    _, vector, residual = perron_data(matrix)
+    _, vector, residual = _perron_vector(matrix, dominant.real)
 
     outside = [b for b in bounds if b.status_vs_unit_circle() == "outside"]
     unresolved = [b for b in bounds if b.status_vs_unit_circle() == "unresolved"]

@@ -101,7 +101,7 @@ def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
 class InvariantSplitting:
     """Expanding line / contracting hyperplane splitting of the count matrix.
 
-    The right and left Perron vectors come from one dense eigensolve each
+    The right and left Perron vectors come from one inverse iteration each
     (:func:`substrand.spectral.perron_data`); ``residual`` is the larger of
     their residuals. ``projector_unstable`` projects onto the Perron line
     along the span of the remaining (generalized) eigendirections,

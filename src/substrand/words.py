@@ -4,7 +4,8 @@ Letters are single characters; internally words are stored as tuples of
 letter indices so that count vectors and matrices share one canonical
 ordering. A fixed point's prefix is a numpy array of those indices, one
 byte per letter up to 256 letters, which the scans in :mod:`substrand.points`
-and :mod:`substrand.coincidence` read. Rule files use the text format parsed
+and :mod:`substrand.coincidence` read; numpy loads with the first stream, so
+the rest of the module runs without it. Rule files use the text format parsed
 by :func:`parse_substitution_spec`::
 
     # Fibonacci
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InputError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Letters written per round of the expansion (plus the rest of one image):
 # bounds its int64 temporaries to a few MB whatever the prefix length.
@@ -317,6 +319,8 @@ class FixedPointStream:
     """
 
     def __init__(self, substitution: Substitution, seed: str):
+        import numpy as np
+
         period = require_seed_period(substitution, seed)
         self.substitution = substitution
         self.seed = seed
@@ -337,6 +341,8 @@ class FixedPointStream:
         return self.substitution.alphabet
 
     def _ensure(self, length: int) -> None:
+        import numpy as np
+
         while len(self._buf) < length:
             filled, start = len(self._buf), self._expanded
             want = min(length - filled, _BLOCK_CELLS)
@@ -375,6 +381,8 @@ class FixedPointStream:
         return prefix
 
     def prefix_text(self, length: int) -> str:
+        import numpy as np
+
         codes = np.array([ord(a) for a in self.alphabet.letters], dtype="<u4")
         return codes[self.prefix_indices(length)].tobytes().decode("utf-32-le", "surrogatepass")
 

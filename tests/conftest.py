@@ -135,6 +135,18 @@ def oracle_perron_data(matrix, tolerance=1e-10, steps=100_000):
     return None
 
 
+def oracle_eig_perron_data(matrix):
+    """(eigenvalue, unit positive vector, residual) from one dense numpy
+    eigensolve: the eigenvalue of largest real part and its eigenvector, the
+    library's body before its inverse iteration."""
+    m = np.array(matrix, dtype=float)
+    values, vectors = np.linalg.eig(m)
+    k = int(np.argmax(values.real))
+    eigenvalue = float(values[k].real)
+    v = np.abs(vectors[:, k].real)
+    return eigenvalue, tuple(float(x) for x in v), float(np.linalg.norm(m @ v - eigenvalue * v))
+
+
 # Pure-Python scans over plain lists of letter indices: the loops the library
 # ran before its numpy kernels, kept as references for them.
 

@@ -498,6 +498,8 @@ def test_materialize_cap_exits_2_before_expanding(capsys, monkeypatch, fib_spec)
     ["gaps", "--seed", "a", "--factor", "b"],
     ["proximal", "--seeds", "a,b"],
     ["ipset", "search", "--seed", "a", "--factor", "b"],
+    ["coincide", "--seeds", "a,b"],
+    ["ipset", "build", "--seeds", "a,b"],
 ])
 def test_scan_horizon_cap_exits_2_before_expanding(capsys, monkeypatch, pair_spec, command):
     def refuse(*args, **kwargs):
@@ -766,13 +768,25 @@ def _modules_after(argv):
     return json.loads(result.stderr.splitlines()[-1])
 
 
-def test_start_up_imports_only_what_the_command_runs(fib_spec):
+def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec):
     start_up = ["substrand", "substrand.cli", "substrand.errors"]
     assert _modules_after(["--help"]) == [0, start_up]
     assert _modules_after(["ipset", "verify", "--generators", "1"]) == [2, start_up]
     code, loaded = _modules_after(["classify", fib_spec])
     assert code == 0 and "substrand.spectral" in loaded
     assert not {f"substrand.{m}" for m in ("coincidence", "ipsets", "numeration", "points", "strand")} & set(loaded)
+    # numpy loads only where streams, scans and strands are built
+    for argv in (["classify", fib_spec],
+                 ["num", "encode", fib_spec, "--start", "a", "7"],
+                 ["num", "decode", fib_spec, "a: a.e.a"],
+                 ["num", "list", fib_spec, "--start", "a", "--count", "5"],
+                 ["num", "sync", pair_spec, "--starts", "a,b", "--range", "0:20"],
+                 ["num", "graph", fib_spec, "--weights", "3"],
+                 ["ipset", "verify", fib_spec, "--generators", "2,5", "--seed", "a", "--factor", "a"]):
+        code, loaded = _modules_after(argv)
+        assert code == 0 and "substrand.words" in loaded, argv
+        assert not [m for m in loaded if m.split(".")[0] == "numpy"], argv
+    assert "numpy" in _modules_after(["expand", fib_spec, "--seed", "a", "--length", "5"])[1]
 
 
 def test_package_names_load_on_first_use():

@@ -1,7 +1,11 @@
+import math
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -23,7 +27,7 @@ from substrand import (
     spectral,
 )
 from substrand.spectral import certified_roots
-from conftest import oracle_is_primitive, oracle_perron_data
+from conftest import oracle_eig_perron_data, oracle_is_primitive, oracle_perron_data
 
 LEHMER = IntPolynomial((1, 1, 0, -1, -1, -1, -1, -1, 0, 1, 1))
 SALEM_QUARTIC = IntPolynomial((1, -1, -1, -1, 1))  # x^4 - x^3 - x^2 - x + 1
@@ -93,35 +97,17 @@ def test_primitivity_matches_full_loop(data):
     assert is_primitive(matrix) == oracle_is_primitive(matrix)
 
 
-class _CountingArray(np.ndarray):
-    products = 0
-
-    def __matmul__(self, other):
-        _CountingArray.products += 1
-        return super().__matmul__(other)
-
-
-class _CountingNumpy:
-    """numpy, except that arrays count their matrix products."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def array(*args, **kwargs):
-        return np.array(*args, **kwargs).view(_CountingArray)
-
-
 def test_primitivity_of_long_cycle_stops_at_repeat(monkeypatch):
     letters = "abcdefghijklmnopqrstuvwxyz"
     rules = {a: letters[(i + 1) % 26] for i, a in enumerate(letters)}
     matrix = abelianization_matrix(Substitution(rules))
-    monkeypatch.setattr(spectral, "np", _CountingNumpy())
-    monkeypatch.setattr(_CountingArray, "products", 0)
+    products = []
+    product = spectral._boolean_product
+    monkeypatch.setattr(spectral, "_boolean_product", lambda *rows: products.append(1) or product(*rows))
     assert is_primitive(matrix) == (False, None)
     # B^1..B^26 are the 26 distinct powers of the cycle and B^27 = B repeats;
     # the Wielandt bound alone would allow 626
-    assert _CountingArray.products == 26
+    assert len(products) == 26
     monkeypatch.undo()
     # one extra letter in one image makes the cycle primitive, late
     rules["a"] = "ab"
@@ -335,8 +321,46 @@ def test_perron_data_matches_power_iteration(data):
     assert np.abs(w - oracle[1]).max() <= 1e-7
     assert (w > 0).all() and abs(np.linalg.norm(w) - 1) < 1e-14
     assert residual <= 1e-12 * eigenvalue
-    m = np.array(matrix, dtype=float)
-    assert residual == pytest.approx(float(np.linalg.norm(m @ w - eigenvalue * w)), abs=1e-15)
+    # the residual bounds ||Mw - lw||, evaluated exactly at the float l and w, and is
+    # the smallest float that does
+    exact = sum((sum(e * Fraction(v) for e, v in zip(row, vector)) - Fraction(eigenvalue) * Fraction(x)) ** 2
+                for row, x in zip(matrix, vector))
+    assert Fraction(residual) ** 2 >= exact
+    assert residual == 0 or Fraction(math.nextafter(residual, 0)) ** 2 < exact
+
+
+def _mpmath_perron(matrix):
+    """Perron eigenvalue and unit positive eigenvector from a 50-digit eigensolve."""
+    with mpmath.workdps(50):
+        values, vectors = mpmath.eig(mpmath.matrix(matrix))
+        k = max(range(len(values)), key=lambda i: mpmath.re(values[i]))
+        v = [abs(mpmath.re(vectors[i, k])) for i in range(len(matrix))]
+        norm = mpmath.sqrt(sum(x * x for x in v))
+        return mpmath.re(values[k]), [x / norm for x in v]
+
+
+def test_perron_data_is_as_accurate_as_a_dense_eigensolve():
+    """Against a 50-digit reference, the eigenvalue (relative) and vector errors
+    are within one unit of 2^-52 or at most those of numpy's dense eigensolve."""
+    rng = random.Random(8)
+    k = 40_000
+    subs = [{"a": "ab", "b": "a"}, {"a": "ab", "b": "ac", "c": "a"}, {"a": "ab", "b": "ba"},
+            {"a": "a" * k + "bb", "b": "a" + "b" * k}, {**{a: b for a, b in zip("abcdefgh", "bcdefgha")}, "a": "ab"}]
+    matrices = [abelianization_matrix(Substitution(rules)) for rules in subs]
+    while len(matrices) < 40:
+        n = rng.randrange(2, 9)
+        matrix = [[rng.choice([0, 0, 1, 1, 2, 3]) for _ in range(n)] for _ in range(n)]
+        if is_primitive(matrix)[0]:
+            matrices.append(matrix)
+    for matrix in matrices:
+        reference, reference_vector = _mpmath_perron(matrix)
+        errors = []
+        for eigenvalue, vector, _ in (perron_data(matrix), oracle_eig_perron_data(matrix)):
+            errors.append((float(abs(eigenvalue - reference) / reference),
+                           float(max(abs(x - y) for x, y in zip(vector, reference_vector)))))
+        (ours_value, ours_vector), (numpy_value, numpy_vector) = errors
+        assert ours_value <= max(numpy_value, 2.0**-52), matrix
+        assert ours_vector <= max(numpy_vector, 2.0**-52), matrix
 
 
 def test_report_json_round_trip(fibonacci):
@@ -380,3 +404,47 @@ def test_root_radii_cover_true_roots():
             nearest = min(sympy.Abs(w - z).evalf(50) for w in reference)
             assert nearest <= sympy.Float(b.radius, 60), (poly, b)
             assert b.radius < 1e-9
+
+
+@st.composite
+def _root_test_polys(draw):
+    """Products of 1-4 monic factors of degree 1-4 with coefficients within
+    +-20 and total degree 1-12: random ones, reciprocal ones (palindromic,
+    so their roots pair as z and 1/z, many on the unit circle) and repeats."""
+    factors = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["random", "reciprocal", "repeat"] if factors else ["random", "reciprocal"]))
+        degree = draw(st.integers(1, 4))
+        if kind == "repeat":
+            factor = draw(st.sampled_from(factors))
+        elif kind == "random":
+            factor = tuple(draw(st.lists(st.integers(-20, 20), min_size=degree, max_size=degree))) + (1,)
+        else:
+            half = draw(st.lists(st.integers(-20, 20), min_size=degree // 2, max_size=degree // 2))
+            middle = [draw(st.integers(-20, 20))] if degree % 2 == 0 else []
+            factor = (1, *half, *middle, *reversed(half), 1)
+        if sum(len(f) - 1 for f in factors) + len(factor) - 1 <= 12:
+            factors.append(factor)
+    return _times(*factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_root_test_polys())
+def test_certified_roots_cover_true_roots(poly):
+    x = sympy.Symbol("x")
+    reference = []  # (root, is real) for every true root, with multiplicity
+    for factor, multiplicity in sympy.Poly(list(reversed(poly.coeffs)), x).sqf_list()[1]:
+        roots = factor.nroots(n=50, maxsteps=500)
+        assert sum(root.is_real for root in roots) == factor.count_roots()
+        reference += [(root, bool(root.is_real)) for root in roots] * multiplicity
+    bounds = certified_roots(poly)
+    assert len(bounds) == poly.degree == len(reference)
+    # real roots sit on the real axis and the others come in exact conjugate pairs
+    assert sum(b.imag == 0.0 for b in bounds) == sum(real for _, real in reference)
+    off_axis = Counter((b.real, b.imag) for b in bounds if b.imag != 0.0)
+    assert off_axis == Counter((re, -im) for re, im in off_axis.elements())
+    for root, real in reference:
+        disks = [b for b in bounds if b.imag == 0.0 or not real]
+        distances = [sympy.Abs(root - sympy.Float(b.real, 60) - sympy.I * sympy.Float(b.imag, 60)).evalf(50)
+                     - sympy.Float(b.radius, 60) for b in disks]
+        assert min(distances) <= 1e-40, (poly, root)

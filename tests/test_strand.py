@@ -175,7 +175,7 @@ def _check_stable_basis(sub):
     assert b.shape == (n, n - 1)
     assert np.abs(b.T @ b - np.eye(n - 1)).max(initial=0.0) < 1e-12
     assert np.abs(sp.projector_stable @ b - b).max() < 1e-12
-    # the Perron vectors come from a dense eigensolve, accurate to a few
+    # the Perron vectors come from inverse iteration, accurate to a few
     # rounding errors of the dilation; whatever rests on them holds to that
     perron = 1e-12 * sp.dilation
     assert np.abs(_left_perron(m) @ b).max(initial=0.0) < perron
