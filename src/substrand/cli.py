@@ -19,14 +19,14 @@ that cannot be written. Exact integers are read and printed in full, however
 many digits they have.
 
 The default scan horizon is 100000 and can be overridden with the
-``SUBSTRAND_HORIZON`` environment variable or per-command flags. When no
-witness lies below the horizon, ``coincide --deep`` scans once more, to
-``DEEP_HORIZON_CAP`` = 10**7, and reports the first of the doubled horizons
-horizon * 2**j (capped) that reaches the least witness, or the cap when there
-is none. The streams grow with the scan, so a witness found early also stops
-the expansion early. When the balanced-pair closure (Sirvent & Solomyak,
-Canad. Math. Bull. 45, 2002) proves there is no witness, that scan stops once
-it has seen every D value of the closure, and prints what the full scan does.
+``SUBSTRAND_HORIZON`` environment variable or per-command flags.
+``coincide --deep`` scans once, to ``MATERIALIZE_CAP`` = 10**7, and reports
+the first of the doubled horizons horizon * 2**j (capped) that reaches the
+least witness, or the cap when there is none. The streams grow with the scan,
+so a witness found early also stops the expansion early. Every ``coincide``
+scan stops early, too, when the balanced-pair closure (Sirvent & Solomyak,
+Canad. Math. Bull. 45, 2002) proves there is no witness: once it has seen
+every D value of the closure, it prints what the full scan does.
 
 ``expand --length``, ``num decode --max-realize`` and the horizon of
 ``occurrences``, ``gaps``, ``proximal`` and ``ipset search`` (from the flag or
@@ -62,7 +62,6 @@ if TYPE_CHECKING:
     from .words import FixedPointStream, Substitution, SubstitutionSpec
 
 DEFAULT_HORIZON = 100_000
-DEEP_HORIZON_CAP = 10_000_000
 MATERIALIZE_CAP = 10_000_000
 NUMERATION_CAP = 1_000_000
 STRAND_CAP = 1_000_000
@@ -215,28 +214,21 @@ def _cmd_proximal(args) -> int:
 
 def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
     """The verdict at ``horizon``; with ``deep`` and no witness, the verdict at
-    the first of horizon * 2**j (capped at DEEP_HORIZON_CAP) that holds one.
+    the first of horizon * 2**j (capped at MATERIALIZE_CAP) that holds one.
 
     The least witness does not depend on the horizon, so one scan to the cap
     finds it, and the doubled horizon it is reported at follows from its index.
-    When the balanced-pair closure proves there is no witness, that scan
-    stops once it has seen every closure D value.
     """
-    from dataclasses import replace
-
     from . import coincidence as coin
 
     x, y, period = _stream_pair(sub, a, b)
-    verdict = coin.find_strong_coincidence(x, y, horizon)
-    if deep and not verdict.found and horizon < DEEP_HORIZON_CAP:
-        closure = coin.balanced_pair_closure(x, y)
-        if closure.verdict == coin.NO_WITNESS:
-            return coin.verdict_without_witness(x, y, DEEP_HORIZON_CAP, closure.delta_values), period
-        verdict = coin.find_strong_coincidence(x, y, DEEP_HORIZON_CAP)
-        if verdict.found:
-            while horizon <= verdict.witness.index:
-                horizon = min(2 * horizon, DEEP_HORIZON_CAP)
-            verdict = replace(verdict, horizon=horizon)
+    if horizon < 1:  # refused before the deep scan lifts it to the cap
+        raise InputError("horizon must be >= 1")
+    verdict = coin.find_strong_coincidence(x, y, max(horizon, MATERIALIZE_CAP) if deep else horizon)
+    if verdict.found:
+        while horizon <= verdict.witness.index:
+            horizon = min(2 * horizon, MATERIALIZE_CAP)
+        verdict = coin.CoincidenceVerdict(horizon, verdict.witness)
     return verdict, period
 
 
@@ -364,20 +356,27 @@ def _cmd_num_sync(args) -> int:
     return 0
 
 
-def _cmd_ipset_build(args) -> int:
+def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int):
+    """The least witness of the seeds below the horizon, the family of ``count``
+    generators built from it under sigma^p (both None without a witness), and p,
+    the lcm of the seeds' periods."""
     from . import coincidence as coin, ipsets
 
+    x, y, period = _stream_pair(sub, a, b)
+    witness = coin.find_strong_coincidence(x, y, horizon).witness
+    family = witness and ipsets.build_fs_family(sub.power(period), witness, count)
+    return witness, family, period
+
+
+def _cmd_ipset_build(args) -> int:
     horizon = _scan_horizon(args)
     spec = _load_spec(args.spec)
-    sub = spec.substitution
     a, b = _parse_seeds(args.seeds)
-    x, y, period = _stream_pair(sub, a, b)
-    verdict = coin.find_strong_coincidence(x, y, horizon)
-    if not verdict.found:
+    witness, family, _ = _witness_family(spec.substitution, a, b, horizon, args.count)
+    if witness is None:
         _emit(args, {"witness": None, "horizon": horizon, "family": None})
         return 1
-    family = ipsets.build_fs_family(sub.power(period), verdict.witness, args.count)
-    _emit(args, {"witness": verdict.witness.to_json_dict(), "family": family.to_json_dict()})
+    _emit(args, {"witness": witness.to_json_dict(), "family": family.to_json_dict()})
     return 0
 
 
@@ -405,16 +404,12 @@ def _cmd_ipset_verify(args) -> int:
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
-        from . import coincidence as coin
-
         start, b = _parse_seeds(args.seeds)
-        x, y, period = _stream_pair(sub, start, b)
-        verdict = coin.find_strong_coincidence(x, y, horizon)
-        if not verdict.found:
+        count = 2 if args.count is None else args.count
+        _, family, period = _witness_family(sub, start, b, horizon, count)
+        if family is None:
             _emit(args, {"witness": None, "verdict": "no-witness"})
             return 1
-        count = 2 if args.count is None else args.count
-        family = ipsets.build_fs_family(sub.power(period), verdict.witness, count)
         factor = family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)

@@ -4,14 +4,15 @@ The scan tracks the prefix count-difference sequence D_k =
 counts(x_0..x_{k-1}) - counts(y_0..y_{k-1}); a witness is the least index
 k >= 1 with D_k = 0 and x_k = y_k, in which case the length-k prefixes are
 abelian equivalent words followed by a common letter. With no witness below
-the horizon the scan reports the set of D values seen and whether that set
-stopped growing (finiteness evidence), never a proof of non-coincidence.
+the horizon the scan reports the set of D values seen below it and whether
+that set stopped growing (finiteness evidence).
 
 D is computed only by :func:`_delta_blocks`, a cumulative sum over the
 streams' letter buffers in bounded blocks; every scan here and
 :func:`substrand.strand.max_stable_delta_norm` consume it. Its step also
 splits the pairs of :func:`balanced_pair_closure`, which can prove there is
-no witness at any index.
+no witness at any index; the coincidence scan then stops early, with the
+full scan's report.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class CoincidenceVerdict:
     """Either a validated witness, or the bounded-scan negative report.
 
     When ``witness`` is None the scan found no qualifying index below the
-    horizon; ``delta_values`` then holds every distinct difference vector
-    observed and ``stabilized`` is True when none of them first appeared in
+    horizon; ``delta_values`` then holds every distinct D_k, k below the
+    horizon, and ``stabilized`` is True when none of them first appeared in
     the second half of the scan.
     """
 
@@ -137,17 +138,6 @@ def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.
         first_seen.setdefault(tuple(value), k0 + i)
 
 
-def _first_seen(x: FixedPointStream, y: FixedPointStream, horizon: int, stop_at: int | None = None):
-    """Each distinct D_k, k < horizon, with its least k; stops after the block
-    in which ``stop_at`` distinct values have been seen."""
-    first_seen: dict[tuple[int, ...], int] = {}
-    for k0, block in _delta_blocks(x, y, horizon - 1):
-        _note_first_seen(first_seen, k0, block)
-        if len(first_seen) == stop_at:
-            break
-    return first_seen
-
-
 def delta_sequence(x: FixedPointStream, y: FixedPointStream, horizon: int) -> DeltaSequence:
     """The exact difference sequence D_0..D_horizon."""
     if horizon < 0:
@@ -162,21 +152,29 @@ def find_strong_coincidence(
     """Least witness index below the horizon, or the negative scan report.
 
     Witness prefixes are nonempty (k >= 1): a coincidence at the very first
-    letter needs no prefix evidence and is excluded by definition.
+    letter needs no prefix evidence and is excluded by definition. When the
+    balanced-pair closure from the first cut proves there is no witness, the
+    scan stops once it has seen every D value of the closure: no later k adds one.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
     first_seen: dict[tuple[int, ...], int] = {}
+    closure = None
     for k0, block in _delta_blocks(x, y, horizon - 1):
         end = k0 + len(block)
-        agree = np.flatnonzero(x.prefix_indices(end)[k0:] == y.prefix_indices(end)[k0:])
-        hits = k0 + agree[~block[agree].any(axis=1)]
-        if k0 and hits.size:  # k0 = 0 only in the block of D_0, which is excluded
-            k = int(hits[0])
-            letter = x.alphabet.letters[x.prefix_indices(k + 1)[k]]
-            witness = CoincidenceWitness(k, letter, x.expand(k), y.expand(k))
-            return CoincidenceVerdict(horizon=horizon, witness=witness)
+        xs, ys = x.prefix_indices(end), y.prefix_indices(end)
+        zeros = k0 + np.flatnonzero(~block.any(axis=1))
+        if k0 and zeros.size:  # k0 = 0 only in the block of D_0, which is excluded
+            hits = zeros[xs[zeros] == ys[zeros]]
+            if hits.size:
+                k = int(hits[0])
+                letter = x.alphabet.letters[xs[k]]
+                witness = CoincidenceWitness(k, letter, x.expand(k), y.expand(k))
+                return CoincidenceVerdict(horizon=horizon, witness=witness)
+            closure = closure or _close(x, y, int(zeros[0]))
         _note_first_seen(first_seen, k0, block)
+        if closure and closure.verdict == NO_WITNESS and len(first_seen) == len(closure.delta_values):
+            break
     stabilized = max(first_seen.values()) < horizon // 2
     return CoincidenceVerdict(horizon, None, frozenset(first_seen), stabilized)
 
@@ -211,7 +209,10 @@ def delta_value_set(
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
-    return frozenset(_first_seen(x, y, horizon))
+    first_seen: dict[tuple[int, ...], int] = {}
+    for k0, block in _delta_blocks(x, y, horizon - 1):
+        _note_first_seen(first_seen, k0, block)
+    return frozenset(first_seen)
 
 
 WITNESS_EXISTS, NO_WITNESS, INDETERMINATE = "WitnessExists", "NoWitness", "Indeterminate"
@@ -243,13 +244,16 @@ def balanced_pair_closure(x: FixedPointStream, y: FixedPointStream) -> BalancedP
     sigma^p or a pair longer than CLOSURE_MAX_LENGTH, more than
     CLOSURE_MAX_PAIRS pairs.
     """
-    _check_pair(x, y)
-    n, sub, period = len(x.alphabet), x.substitution, math.lcm(x.period, y.period)
     cut = next((k0 + int(zeros[0]) for k0, block in _delta_blocks(x, y, CLOSURE_MAX_LENGTH)
                 if k0 and (zeros := np.flatnonzero(~block.any(axis=1))).size), None)
-    if cut is None:
-        return BalancedPairClosure(INDETERMINATE, ())
-    if max(sub.image_lengths(period)) > CLOSURE_MAX_LENGTH:  # counted before any image is written out
+    return BalancedPairClosure(INDETERMINATE, ()) if cut is None else _close(x, y, cut)
+
+
+def _close(x: FixedPointStream, y: FixedPointStream, cut: int) -> BalancedPairClosure:
+    """The closure from the first pair, cut at the least k >= 1 with D_k = 0."""
+    n, sub, period = len(x.alphabet), x.substitution, math.lcm(x.period, y.period)
+    # image lengths are counted before any image is written out
+    if cut > CLOSURE_MAX_LENGTH or max(sub.image_lengths(period)) > CLOSURE_MAX_LENGTH:
         return BalancedPairClosure(INDETERMINATE, ())
     working = sub.power(period)
     images = [working.image_indices(a) for a in range(n)]
@@ -273,13 +277,3 @@ def balanced_pair_closure(x: FixedPointStream, y: FixedPointStream) -> BalancedP
         return BalancedPairClosure(verdict, words)
     rows = np.concatenate([_differences(np.array(u), np.array(v), n) for u, v in pairs])
     return BalancedPairClosure(verdict, words, frozenset(map(tuple, rows.tolist())))
-
-
-def verdict_without_witness(
-    x: FixedPointStream, y: FixedPointStream, horizon: int, delta_values: frozenset[tuple[int, ...]]
-) -> CoincidenceVerdict:
-    """``find_strong_coincidence(x, y, horizon)`` for a pair with no witness
-    whose D takes exactly ``delta_values`` (a NO_WITNESS closure's): the scan
-    stops once it has seen them all."""
-    first_seen = _first_seen(x, y, horizon, len(delta_values))
-    return CoincidenceVerdict(horizon, None, frozenset(first_seen), max(first_seen.values()) < horizon // 2)

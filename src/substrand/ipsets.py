@@ -200,8 +200,11 @@ def verify_finite_sums(
     Sum t is an occurrence when the letters at t, t + 1, ... of the fixed
     point at ``start`` spell the factor; each is read off the prefix automaton
     (:func:`letter_at`), so nothing is expanded. Sums past horizon - |factor|
-    are reported unchecked, as for a prefix of length ``horizon``.
+    are reported unchecked, as for a prefix of length ``horizon``. A family
+    without generators is refused: it has no subset to check.
     """
+    if not family.generators:
+        raise InputError("the family has no generators, so there is no subset to check")
     factor = graph.alphabet.word(factor)
     if len(factor) == 0:
         raise InputError("factor must be nonempty")

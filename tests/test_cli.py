@@ -239,14 +239,14 @@ def test_coincide_deep_expands_only_to_the_block_of_the_witness(monkeypatch, pai
     sub = parse_substitution_spec(Path(pair_spec).read_text()).substitution
     verdict, _ = cli._coincide_pair(sub, "a", "b", 2, True)
     assert verdict.witness.index == 3 and verdict.horizon == 4
-    assert max(requested) <= cells // 2 + 1 < cli.DEEP_HORIZON_CAP // 10
+    assert max(requested) <= cells // 2 + 1 < cli.MATERIALIZE_CAP // 10
 
 
 def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch, tmp_path):
     # the fixed points of a complement pair differ at every index: no witness
     p = tmp_path / "complement.sub"
     p.write_text("a -> abbaab\nb -> baabba\n")
-    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 5000)
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 5000)
     # 32 rows a block: the first block of the scan at the cap holds every D value
     monkeypatch.setattr(coincidence, "_BLOCK_CELLS", 64)
     horizons, requested = [], []
@@ -255,9 +255,7 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
 
     def spy(x, y, horizon):
         horizons.append(horizon)
-        verdict = scan(x, y, horizon)
-        requested.clear()
-        return verdict
+        return scan(x, y, horizon)
 
     def ensure_spy(self, length):
         requested.append(length)
@@ -267,9 +265,9 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     monkeypatch.setattr(FixedPointStream, "_ensure", ensure_spy)
     argv = ["coincide", str(p), "--seeds", "a,b", "--deep", "--expect-witness", "--horizon"]
     code, payload = _run_json(capsys, argv + ["100"])
-    # one scan at 100; the closure proves there is no witness, and after it
-    # no stream is expanded past the first block of the scan at the cap
-    assert code == 1 and horizons == [100]
+    # one scan, at the cap; the closure proves there is no witness, and no
+    # stream is expanded past the first block of that scan
+    assert code == 1 and horizons == [5000]
     assert 0 < max(requested) <= 32 + 1
     sub = parse_substitution_spec(p.read_text()).substitution
     expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 100, 5000)
@@ -281,6 +279,18 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     assert code == 1 and horizons == [5000]
     assert main(argv + ["0"]) == 2
     assert capsys.readouterr().err == "error: horizon must be >= 1\n"
+
+
+def test_coincide_without_witness_stops_after_the_first_block(capsys, monkeypatch, tm_spec):
+    # Thue-Morse: the closure proves there is no witness, and its D values all
+    # appear in the scan's first block, so the buffers stop one image past it
+    written = spy_letters_written(monkeypatch)
+    code, payload = _run_json(capsys, ["coincide", tm_spec, "--seeds", "a,b", "--horizon", "10000000"])
+    assert code == 0 and payload["pairs"] == [
+        {"seeds": ["a", "b"], "period": 1, "horizon": 10_000_000, "witness": None,
+         "delta_values": [[-1, 1], [0, 0], [1, -1]], "stabilized": True}]
+    first_block = coincidence._BLOCK_CELLS // 2 + 1  # D_1..D_rows read one letter more
+    assert len(written) == 2 and all(first_block <= count <= first_block + 1 for count in written.values())
 
 
 def test_coincide_on_polynomial_growth_writes_each_letter_once(capsys, monkeypatch, tmp_path):
@@ -324,7 +334,7 @@ def test_coincide_deep_on_seeds_of_coprime_periods_matches_the_full_scan(capsys,
     p = tmp_path / "cycles.sub"
     p.write_text("".join(f"{c} -> {cycle[(i + 1) % len(cycle)]}{c}\n"
                          for cycle in ("abcde", "fghijkl") for i, c in enumerate(cycle)))
-    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 5000)
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 5000)
     sub = parse_substitution_spec(p.read_text()).substitution
     x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "f")
     assert (x.period, y.period) == (5, 7)
@@ -337,7 +347,7 @@ def test_coincide_deep_on_seeds_of_coprime_periods_matches_the_full_scan(capsys,
 
 
 def test_coincide_deep_on_an_indeterminate_pair_matches_the_full_scan(capsys, monkeypatch, uniform_spec):
-    monkeypatch.setattr(cli, "DEEP_HORIZON_CAP", 20_000)
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 20_000)
     sub = parse_substitution_spec(Path(uniform_spec).read_text()).substitution
     closure = coincidence.balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
     assert closure.verdict == coincidence.INDETERMINATE
@@ -626,6 +636,18 @@ def test_ipset_verify_rejects_count_with_generators(capsys, pair_spec):
     for extra, count in (([], 2), (["--count", "3"], 3)):
         code, payload = _run_json(capsys, argv + extra)
         assert code == 0 and len(payload["family"]["generators"]) == count
+
+
+def test_ipset_verify_refuses_a_family_without_generators(capsys, pair_spec):
+    # before, --count 0 printed "verdict pass" with no subset checked
+    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--count", "0", "--expect-pass"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the family has no generators, so there is no subset to check\n"
+    # ipset build still prints the empty family
+    code, payload = _run_json(capsys, ["ipset", "build", pair_spec, "--seeds", "a,b", "--count", "0"])
+    assert code == 0 and payload["family"]["generators"] == [] and payload["witness"]["k"] == 3
 
 
 @pytest.mark.parametrize("extra", [["--seed", "q"], ["--factor", "zz"], ["--seed", "q", "--factor", "zz"]])

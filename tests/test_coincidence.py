@@ -3,17 +3,20 @@ import random
 import pytest
 
 from substrand import (
+    CoincidenceVerdict,
     CoincidenceWitness,
     FixedPointStream,
     InputError,
     Substitution,
     abelianize,
+    balanced_pair_closure,
     delta_sequence,
     delta_value_set,
     find_strong_coincidence,
     validate_witness,
 )
-from conftest import spy_letters_written
+from substrand.coincidence import NO_WITNESS
+from conftest import oracle_prefix, oracle_scan, spy_letters_written
 
 
 def _streams(sub, a="a", b="b"):
@@ -143,15 +146,32 @@ def test_one_letter_alphabet():
 @pytest.mark.parametrize("horizon", [1, 2, 50, 777, 20_000])
 @pytest.mark.parametrize("images", [("ab", "ba"), ("abbaab", "baabba")])
 def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon, images):
-    # the fixed points of a complement pair differ at every index: the scan reads
-    # every letter below the horizon, and the buffers stop within one image of it
+    # the fixed points of a complement pair differ at every index: D_0..D_horizon
+    # read every letter below the horizon, and the buffers stop within one image of it
     from substrand import coincidence
 
     monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
     written = spy_letters_written(monkeypatch)
-    x, y = _streams(Substitution(dict(zip("ab", images))))
-    assert find_strong_coincidence(x, y, horizon).witness is None
+    sub = Substitution(dict(zip("ab", images)))
+    x, y = _streams(sub)
+    delta_value_set(x, y, horizon + 1)
     for stream in (x, y):
         assert horizon <= len(stream._buf) < horizon + len(images[0])
         # each letter is written once, however many calls the scan made
         assert written[stream] == len(stream._buf)
+
+    # the coincidence scan reports the full scan, but stops after the block of
+    # the first cut or of the last D value of the closure, whichever is later
+    closure = balanced_pair_closure(*_streams(sub))
+    assert closure.verdict == NO_WITNESS
+    xs, ys = ([sub.alphabet.index(c) for c in oracle_prefix(sub, s, max(horizon, 1000))] for s in "ab")
+    _, first_seen = oracle_scan(xs, ys, 1000, 2, stop_at_witness=False)
+    last = max(len(closure.pairs[0][0]), max(first_seen[v] for v in closure.delta_values))
+    rows = max(1, cells // 2)
+    read = min(horizon, 1 + ((last - 1) // rows + 1) * rows)  # D_0 is a block of its own
+    _, seen = oracle_scan(xs, ys, horizon, 2, stop_at_witness=False)
+    x, y = _streams(sub)
+    expected = CoincidenceVerdict(horizon, None, frozenset(seen), max(seen.values()) < horizon // 2)
+    assert find_strong_coincidence(x, y, horizon) == expected
+    for stream in (x, y):
+        assert len(stream._buf) < read + len(images[0])

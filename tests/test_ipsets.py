@@ -126,9 +126,11 @@ def test_verify_failure(fibonacci):
     assert verification.failures == (((1,), 1),)
 
 
-def test_verify_empty_family_vacuous(fibonacci):
+def test_verify_refuses_an_empty_family(fibonacci):
+    # no generators means no subset is checked: a pass would claim nothing
     graph = build_prefix_graph(fibonacci)
-    assert verify_finite_sums(FsFamily((), "searched"), graph, "a", "a", 50, 3).verdict == "pass"
+    with pytest.raises(InputError, match="the family has no generators"):
+        verify_finite_sums(FsFamily((), "searched"), graph, "a", "a", 50, 3)
 
 
 def test_verify_rejects_bad_input(fibonacci):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from substrand import (
+    CoincidenceVerdict,
     FixedPointStream,
     Substitution,
     abelianization_matrix,
@@ -123,7 +124,7 @@ def test_scans_match_oracles_on_random_substitutions(sub, horizon, block_cells):
 
 def _check_deep_coincide(sub, horizon, cap):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "DEEP_HORIZON_CAP", cap)
+        mp.setattr(cli, "MATERIALIZE_CAP", cap)
         verdict, period = cli._coincide_pair(sub, "a", "b", horizon, True)
     expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), horizon, cap)
     assert period == 1
@@ -183,8 +184,18 @@ def _check_closure(sub, period):
         assert not verdict.found and not equal
         assert closure.delta_values == delta_value_set(x, y, _CLOSURE_HORIZON) == verdict.delta_values
         assert _pairs_below(sub, period, 4096) <= {(u.indices, v.indices) for u, v in closure.pairs}
+        # one row a block: a fresh scan stops right after the block of the first
+        # cut or of the last D value, and reports what the full scan does
+        xs, ys = ([sub.alphabet.index(c) for c in oracle_prefix(sub, s, _CLOSURE_HORIZON, period)] for s in "ab")
+        _, first_seen = oracle_scan(xs, ys, _CLOSURE_HORIZON, n, stop_at_witness=False)
+        expected = CoincidenceVerdict(_CLOSURE_HORIZON, None, frozenset(first_seen),
+                                      max(first_seen.values()) < _CLOSURE_HORIZON // 2)
         fresh = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
-        assert coincidence.verdict_without_witness(*fresh, _CLOSURE_HORIZON, closure.delta_values) == verdict
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(coincidence, "_BLOCK_CELLS", 1)
+            assert find_strong_coincidence(*fresh, _CLOSURE_HORIZON) == expected
+        last = max(len(closure.pairs[0][0]), max(first_seen.values()))
+        assert all(len(s._buf) <= last + max(sub.image_lengths(period)) for s in fresh)
     else:
         assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
     if verdict.found:
