@@ -20,13 +20,13 @@ many digits they have.
 
 The default scan horizon is 100000 and can be overridden with the
 ``SUBSTRAND_HORIZON`` environment variable or per-command flags.
-``coincide --deep`` scans once, to ``MATERIALIZE_CAP`` = 10**7, and reports
+``coincide --deep`` asks once, at ``MATERIALIZE_CAP`` = 10**7, and reports
 the first of the doubled horizons horizon * 2**j (capped) that reaches the
-least witness, or the cap when there is none. The streams grow with the scan,
-so a witness found early also stops the expansion early. Every ``coincide``
-scan stops early, too, when the balanced-pair closure (Sirvent & Solomyak,
-Canad. Math. Bull. 45, 2002) proves there is no witness: once it has seen
-every D value of the closure, it prints what the full scan does.
+least witness, or the cap when there is none. Decided pairs are answered by
+descent; only Indeterminate pairs scan: the balanced-pair closure (Sirvent &
+Solomyak, Canad. Math. Bull. 45, 2002) gives the full scan's output with no
+stream read and no numpy loaded. A scan's streams grow with it, so a witness
+found early also stops the expansion early.
 
 ``expand --length``, ``num decode --max-realize`` and the horizon of
 ``occurrences``, ``gaps``, ``proximal`` and ``ipset search`` (from the flag or
@@ -35,7 +35,8 @@ every D value of the closure, it prints what the full scan does.
 is expanded. So is the horizon of ``coincide`` and ``ipset build``, whose
 scan reads every letter below it when there is no witness. ``ipset verify``
 keeps an uncapped horizon: it also bounds the subset sums, which it reads
-off the prefix automaton. ``num list --count`` and the width hi - lo + 1 of
+off the prefix automaton; its ``--seeds`` witness is searched below
+``MATERIALIZE_CAP`` at most. ``num list --count`` and the width hi - lo + 1 of
 ``num sync --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a
 larger value exits 2 before the prefix automaton is built. The last strand
 of ``strand scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6
@@ -216,7 +217,7 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
     """The verdict at ``horizon``; with ``deep`` and no witness, the verdict at
     the first of horizon * 2**j (capped at MATERIALIZE_CAP) that holds one.
 
-    The least witness does not depend on the horizon, so one scan to the cap
+    The least witness does not depend on the horizon, so one call at the cap
     finds it, and the doubled horizon it is reported at follows from its index.
     """
     from . import coincidence as coin
@@ -357,13 +358,14 @@ def _cmd_num_sync(args) -> int:
 
 
 def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int):
-    """The least witness of the seeds below the horizon, the family of ``count``
-    generators built from it under sigma^p (both None without a witness), and p,
-    the lcm of the seeds' periods."""
+    """The least witness of the seeds below the horizon (searched below
+    MATERIALIZE_CAP at most), the family of ``count`` generators built from it
+    under sigma^p (both None without a witness), and p, the lcm of the seeds'
+    periods."""
     from . import coincidence as coin, ipsets
 
     x, y, period = _stream_pair(sub, a, b)
-    witness = coin.find_strong_coincidence(x, y, horizon).witness
+    witness = coin.find_strong_coincidence(x, y, min(horizon, MATERIALIZE_CAP)).witness
     family = witness and ipsets.build_fs_family(sub.power(period), witness, count)
     return witness, family, period
 

@@ -7,12 +7,15 @@ abelian equivalent words followed by a common letter. With no witness below
 the horizon the scan reports the set of D values seen below it and whether
 that set stopped growing (finiteness evidence).
 
-D is computed only by :func:`_delta_blocks`, a cumulative sum over the
-streams' letter buffers in bounded blocks; every scan here and
-:func:`substrand.strand.max_stable_delta_norm` consume it. Its step also
-splits the pairs of :func:`balanced_pair_closure`, which can prove there is
-no witness at any index; the coincidence scan then stops early, with the
-full scan's report.
+Decided pairs are answered by descent; only Indeterminate pairs scan.
+:func:`find_strong_coincidence` runs the balanced-pair closure in pure
+Python. When it decides the pair, the minimal balanced pairs of x and y form
+a substitutive sequence over the closure, and the least witness, or the
+first index of every D value, is read off that sequence by a Dumont-Thomas
+descent, without reading the streams or loading numpy. Otherwise D comes
+from :func:`_delta_blocks`, a cumulative sum over the streams' letter
+buffers in bounded blocks, which the scans here and
+:func:`substrand.strand.max_stable_delta_norm` consume; numpy loads there.
 """
 
 from __future__ import annotations
@@ -20,11 +23,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .words import FixedPointStream, Word, abelianize
+from .words import FixedPointStream, Substitution, Word, abelianize, apply_substitution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,15 +103,6 @@ def _check_pair(x: FixedPointStream, y: FixedPointStream) -> None:
 _BLOCK_CELLS = 1 << 19  # entries of D (rows times letters) per block: bounds memory
 
 
-def _differences(xs: np.ndarray, ys: np.ndarray, n: int) -> np.ndarray:
-    """int64 rows ``counts(xs[:i+1]) - counts(ys[:i+1])`` over n letters."""
-    rows = np.empty((len(xs), n), dtype=np.int64)
-    for a in range(n):
-        steps = (xs == a).view(np.int8) - (ys == a).view(np.int8)
-        np.cumsum(steps, dtype=np.int64, out=rows[:, a])
-    return rows
-
-
 def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     """Yield ``(k0, block)``, int64 rows ``block[i] = D_{k0+i}``, for k in [0, horizon]
     in increasing order; the first block holds D_0 alone.
@@ -114,6 +110,8 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     Each block asks the streams for just the letters it reads, so a consumer
     that stops early expands them about as far as it read.
     """
+    import numpy as np
+
     _check_pair(x, y)
     n = len(x.alphabet)
     rows = max(1, _BLOCK_CELLS // n)
@@ -121,7 +119,10 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
     yield 0, delta
     for j in range(0, horizon, rows):
         end = min(j + rows, horizon)
-        block = _differences(x.prefix_indices(end)[j:], y.prefix_indices(end)[j:], n)
+        xs, ys = x.prefix_indices(end)[j:], y.prefix_indices(end)[j:]
+        block = np.empty((end - j, n), dtype=np.int64)
+        for a in range(n):  # column a: counts of a in xs[:i+1] minus in ys[:i+1]
+            np.cumsum((xs == a).view(np.int8) - (ys == a).view(np.int8), dtype=np.int64, out=block[:, a])
         block += delta
         delta = block[-1:].copy()
         yield j + 1, block
@@ -129,6 +130,8 @@ def _delta_blocks(x: FixedPointStream, y: FixedPointStream, horizon: int):
 
 def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.ndarray) -> None:
     """Add each value in the block that ``first_seen`` lacks, with its index."""
+    import numpy as np
+
     # every D_k sums to 0 (both prefixes have length k): the last column is implied
     keys = block[:, :max(1, block.shape[1] - 1)]
     order = np.lexsort(keys.T)  # stable: each run of equal rows starts at its least index
@@ -152,29 +155,49 @@ def find_strong_coincidence(
     """Least witness index below the horizon, or the negative scan report.
 
     Witness prefixes are nonempty (k >= 1): a coincidence at the very first
-    letter needs no prefix evidence and is excluded by definition. When the
-    balanced-pair closure from the first cut proves there is no witness, the
-    scan stops once it has seen every D value of the closure: no later k adds one.
+    letter needs no prefix evidence and is excluded by definition. A pair the
+    balanced-pair closure decides is answered by descent, without reading the
+    streams: the least witness, or, when it is at or past the horizon or does
+    not exist, the first index of every D value. Only Indeterminate pairs scan.
     """
     if horizon < 1:
         raise InputError("horizon must be >= 1")
+    _check_pair(x, y)
+    verdict, graph, working = _close(x, y)
+    if verdict == WITNESS_EXISTS:
+        root = next(iter(graph))
+        if root[0] == root[1]:  # x and y are one point: the least witness is k = 1
+            pair, k, skipped = (working.image_indices(root[0][0])[1:2],) * 2, 1, [(root, 0)]
+        else:
+            pair, k, skipped = _descend(graph, {p for p in graph if p[0] == p[1]}, working)
+        if k < horizon:
+            letter = x.alphabet.letters[pair[0][0]]
+            witness = CoincidenceWitness(k, letter, _spell(working, skipped, 0), _spell(working, skipped, 1))
+            return CoincidenceVerdict(horizon, witness)
+        verdict, graph, working = _close(x, y, complete=True)
+    if verdict == INDETERMINATE:
+        return _scan(x, y, horizon)
+    first = {v: k for v, k in _first_indices(graph, working).items() if k < horizon}
+    return CoincidenceVerdict(horizon, None, frozenset(first), max(first.values()) < horizon // 2)
+
+
+def _scan(x: FixedPointStream, y: FixedPointStream, horizon: int) -> CoincidenceVerdict:
+    """:func:`find_strong_coincidence` by the prefix-difference scan, reading the streams."""
+    import numpy as np
+
     first_seen: dict[tuple[int, ...], int] = {}
-    closure = None
     for k0, block in _delta_blocks(x, y, horizon - 1):
-        end = k0 + len(block)
-        xs, ys = x.prefix_indices(end), y.prefix_indices(end)
-        zeros = k0 + np.flatnonzero(~block.any(axis=1))
-        if k0 and zeros.size:  # k0 = 0 only in the block of D_0, which is excluded
+        if k0:  # k0 = 0 only in the block of D_0, which is excluded
+            end = k0 + len(block)
+            xs, ys = x.prefix_indices(end), y.prefix_indices(end)
+            zeros = k0 + np.flatnonzero(~block.any(axis=1))
             hits = zeros[xs[zeros] == ys[zeros]]
             if hits.size:
                 k = int(hits[0])
                 letter = x.alphabet.letters[xs[k]]
                 witness = CoincidenceWitness(k, letter, x.expand(k), y.expand(k))
                 return CoincidenceVerdict(horizon=horizon, witness=witness)
-            closure = closure or _close(x, y, int(zeros[0]))
         _note_first_seen(first_seen, k0, block)
-        if closure and closure.verdict == NO_WITNESS and len(first_seen) == len(closure.delta_values):
-            break
     stabilized = max(first_seen.values()) < horizon // 2
     return CoincidenceVerdict(horizon, None, frozenset(first_seen), stabilized)
 
@@ -242,38 +265,124 @@ def balanced_pair_closure(x: FixedPointStream, y: FixedPointStream) -> BalancedP
     (sigma^p(u), sigma^p(v)). A witness is a cut k >= 1 whose pair is (c, c),
     and D takes the values inside the pairs. Caps: a first cut, an image of
     sigma^p or a pair longer than CLOSURE_MAX_LENGTH, more than
-    CLOSURE_MAX_PAIRS pairs.
+    CLOSURE_MAX_PAIRS pairs. Runs in pure Python and reads no stream.
     """
-    cut = next((k0 + int(zeros[0]) for k0, block in _delta_blocks(x, y, CLOSURE_MAX_LENGTH)
-                if k0 and (zeros := np.flatnonzero(~block.any(axis=1))).size), None)
-    return BalancedPairClosure(INDETERMINATE, ()) if cut is None else _close(x, y, cut)
+    _check_pair(x, y)
+    verdict, graph, _ = _close(x, y)
+    words = tuple((Word(x.alphabet, u), Word(x.alphabet, v)) for u, v in graph)
+    n = len(x.alphabet)
+    values = frozenset(v for pair in graph for v in _deltas(*pair, n)) if verdict == NO_WITNESS else None
+    return BalancedPairClosure(verdict, words, values)
 
 
-def _close(x: FixedPointStream, y: FixedPointStream, cut: int) -> BalancedPairClosure:
-    """The closure from the first pair, cut at the least k >= 1 with D_k = 0."""
+def _deltas(us, vs, n: int):
+    """D_1, D_2, ... of two sequences of letter indices, as tuples."""
+    delta = [0] * n
+    for a, b in zip(us, vs):
+        delta[a] += 1
+        delta[b] -= 1
+        yield tuple(delta)
+
+
+def _cuts(us, vs, n: int) -> list[int]:
+    """Every k >= 1 with D_k = 0, in increasing order."""
+    zero = (0,) * n
+    return [k for k, d in enumerate(_deltas(us, vs, n), 1) if d == zero]
+
+
+def _close(x: FixedPointStream, y: FixedPointStream, complete: bool = False):
+    """(verdict, graph, sigma^p) of the closure: the graph maps each pair found, in
+    breadth-first order, to its list of child pairs, or None while unexpanded.
+    The search stops at the first (c, c), which is then at its least depth,
+    unless ``complete``; the pairs are tuples of letter indices."""
     n, sub, period = len(x.alphabet), x.substitution, math.lcm(x.period, y.period)
+    graph: dict[tuple[tuple[int, ...], tuple[int, ...]], list | None] = {}
     # image lengths are counted before any image is written out
-    if cut > CLOSURE_MAX_LENGTH or max(sub.image_lengths(period)) > CLOSURE_MAX_LENGTH:
-        return BalancedPairClosure(INDETERMINATE, ())
+    if sub != y.substitution or max(sub.image_lengths(period)) > CLOSURE_MAX_LENGTH:
+        return INDETERMINATE, graph, None
     working = sub.power(period)
-    images = [working.image_indices(a) for a in range(n)]
-    pairs: dict[tuple[tuple[int, ...], tuple[int, ...]], None] = {}
-    todo, verdict = deque([tuple(tuple(s.prefix_indices(cut).tolist()) for s in (x, y))]), NO_WITNESS
-    while todo and verdict == NO_WITNESS:  # breadth first: a (c, c) is found at its least depth
+    images = working._images
+    prefixes = []
+    for s in (x, y):  # the first letters of the point: each letter is the image of an earlier one
+        letters, i = list(images[x.alphabet.index(s.seed)]), 1
+        while len(letters) < CLOSURE_MAX_LENGTH:
+            letters.extend(images[letters[i]])
+            i += 1
+        prefixes.append(letters[:CLOSURE_MAX_LENGTH])
+    cut = next(iter(_cuts(*prefixes, n)), None)
+    if cut is None:
+        return INDETERMINATE, graph, None
+    todo, verdict = deque([tuple(tuple(w[:cut]) for w in prefixes)]), NO_WITNESS
+    while todo and verdict != INDETERMINATE and (complete or verdict == NO_WITNESS):
         pair = todo.popleft()
-        if pair in pairs:
+        if pair in graph:
             continue
-        pairs[pair] = None
+        graph[pair] = None
         if pair[0] == pair[1]:  # a minimal pair of equal words is one letter
             verdict = WITNESS_EXISTS
-        elif len(pair[0]) > CLOSURE_MAX_LENGTH or len(pairs) > CLOSURE_MAX_PAIRS:
+            if not complete:
+                break
+        if len(pair[0]) > CLOSURE_MAX_LENGTH or len(graph) > CLOSURE_MAX_PAIRS:
             verdict = INDETERMINATE
         else:
             us, vs = ([a for b in w for a in images[b]] for w in pair)
-            cuts = (np.flatnonzero(~_differences(np.array(us), np.array(vs), n).any(axis=1)) + 1).tolist()
-            todo.extend((tuple(us[s:e]), tuple(vs[s:e])) for s, e in zip([0] + cuts, cuts))
-    words = tuple((Word(x.alphabet, u), Word(x.alphabet, v)) for u, v in pairs)
-    if verdict != NO_WITNESS:
-        return BalancedPairClosure(verdict, words)
-    rows = np.concatenate([_differences(np.array(u), np.array(v), n) for u, v in pairs])
-    return BalancedPairClosure(verdict, words, frozenset(map(tuple, rows.tolist())))
+            cuts = _cuts(us, vs, n)
+            graph[pair] = [(tuple(us[s:e]), tuple(vs[s:e])) for s, e in zip([0] + cuts, cuts)]
+            todo.extend(graph[pair])
+    return verdict, graph, working
+
+
+def _descend(graph: dict, targets: set, working: Substitution):
+    """(pair, start, skipped): the first pair in ``targets`` of omega, the sequence
+    of minimal pairs, which is the fixed point of the graph's substitution at
+    its first pair; its first index; and the (pair, level) of each subtree
+    skipped before it, in order, whose words under sigma^(p*level) spell the
+    prefixes before it (Dumont & Thomas, Theoret. Comput. Sci. 65, 1989)."""
+    parents: dict = {}
+    for pair, children in graph.items():
+        for child in children or ():
+            parents.setdefault(child, []).append(pair)
+    # depth[q]: the least d such that theta^d(q) holds a target (a breadth-first search backwards)
+    depth, frontier = dict.fromkeys(targets, 0), list(targets)
+    for child in frontier:
+        for parent in parents.get(child, ()):
+            if parent not in depth:
+                depth[parent] = depth[child] + 1
+                frontier.append(parent)
+    pair = next(iter(graph))
+    level, start, skipped = depth[pair], 0, []
+    while level:  # theta^level(pair) is a prefix of the rest of omega, and holds a target
+        level -= 1
+        lengths = working.image_lengths(level)
+        for child in graph[pair]:
+            if depth.get(child, level + 1) <= level:
+                break
+            start += sum(lengths[a] for a in child[0])
+            skipped.append((child, level))
+        pair = child
+    return pair, start, skipped
+
+
+def _spell(working: Substitution, skipped: list, side: int) -> Word:
+    """The prefix of x (side 0) or y (side 1) before the pair a descent reached:
+    the images of the words of the skipped subtrees."""
+    alphabet = working.alphabet
+    return Word(alphabet, [a for pair, level in skipped for a in (
+        apply_substitution(working, Word(alphabet, pair[side]), level).indices if level else pair[side])])
+
+
+def _first_indices(graph: dict, working: Substitution) -> dict[tuple[int, ...], int]:
+    """The least k of every D value over a complete closure: the start of the
+    first pair of omega that holds the value, plus the least offset of the value
+    inside it (the pairs are disjoint intervals, and D is 0 at their ends)."""
+    n = len(working.alphabet)
+    offsets: dict[tuple[int, ...], dict] = {}
+    for pair in graph:
+        for i, value in enumerate(_deltas(*pair, n), 1):
+            offsets.setdefault(value, {}).setdefault(pair, i)
+    first = {(0,) * n: 0}
+    for value, where in offsets.items():
+        if value not in first:
+            pair, start, _ = _descend(graph, set(where), working)
+            first[value] = start + where[pair]
+    return first

@@ -4,8 +4,8 @@ Letters are single characters; internally words are stored as tuples of
 letter indices so that count vectors and matrices share one canonical
 ordering. A fixed point's prefix is a numpy array of those indices, one
 byte per letter up to 256 letters, which the scans in :mod:`substrand.points`
-and :mod:`substrand.coincidence` read; numpy loads with the first stream, so
-the rest of the module runs without it. Rule files use the text format parsed
+and :mod:`substrand.coincidence` read; numpy loads when a stream is first
+read, so the rest of the module runs without it. Rule files use the text format parsed
 by :func:`parse_substitution_spec`::
 
     # Fibonacci
@@ -319,16 +319,19 @@ class FixedPointStream:
     """
 
     def __init__(self, substitution: Substitution, seed: str):
-        import numpy as np
-
-        period = require_seed_period(substitution, seed)
         self.substitution = substitution
         self.seed = seed
-        self.period = period
-        working = substitution.power(period)
-        seed_index = substitution.alphabet.index(seed)
+        self.period = require_seed_period(substitution, seed)
+        # the first _ensure builds the arrays: a stream never read loads no numpy
+        self._buf, self._expanded = (), 0
+
+    def _start(self) -> None:
+        import numpy as np
+
+        substitution = self.substitution
+        seed_index = substitution.alphabet.index(self.seed)
         dtype = np.min_scalar_type(len(substitution.alphabet) - 1)
-        images = working._images
+        images = substitution.power(self.period)._images
         self._image_letters = np.array([i for im in images for i in im], dtype=dtype)
         self._image_lengths = np.array([len(im) for im in images], dtype=np.intp)
         self._image_starts = np.cumsum(self._image_lengths) - self._image_lengths
@@ -343,6 +346,8 @@ class FixedPointStream:
     def _ensure(self, length: int) -> None:
         import numpy as np
 
+        if not self._expanded:
+            self._start()
         while len(self._buf) < length:
             filled, start = len(self._buf), self._expanded
             want = min(length - filled, _BLOCK_CELLS)

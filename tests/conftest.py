@@ -80,6 +80,7 @@ def spy_letters_written(monkeypatch, largest=None):
 
     def spy(self, length):
         if self not in counts:
+            ensure(self, 0)  # the arrays, with the seed's image
             counts[self] = len(self._buf)
             images = self._image_letters.view(_CountingImages)
             images.counts, images.largest, images.stream = counts, largest, self

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -226,7 +227,7 @@ def test_coincide_deep_doubles_horizon(capsys, pair_spec):
 
 @pytest.mark.parametrize("cells", [8, coincidence._BLOCK_CELLS])
 def test_coincide_deep_expands_only_to_the_block_of_the_witness(monkeypatch, pair_spec, cells):
-    # the scan at the cap stops in its first block, and so does the expansion
+    # the closure decides the pair, and the descent reads no letter of the streams
     monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
     requested = []
     ensure = FixedPointStream._ensure
@@ -238,8 +239,12 @@ def test_coincide_deep_expands_only_to_the_block_of_the_witness(monkeypatch, pai
     monkeypatch.setattr(FixedPointStream, "_ensure", spy)
     sub = parse_substitution_spec(Path(pair_spec).read_text()).substitution
     verdict, _ = cli._coincide_pair(sub, "a", "b", 2, True)
-    assert verdict.witness.index == 3 and verdict.horizon == 4
-    assert max(requested) <= cells // 2 + 1 < cli.MATERIALIZE_CAP // 10
+    assert verdict.witness.index == 3 and verdict.horizon == 4 and requested == []
+    # with the closure capped at its first pair, the scan at the cap stops in
+    # its first block, and so does the expansion
+    monkeypatch.setattr(coincidence, "CLOSURE_MAX_PAIRS", 0)
+    assert cli._coincide_pair(sub, "a", "b", 2, True) == (verdict, 1)
+    assert 0 < max(requested) <= cells // 2 + 1 < cli.MATERIALIZE_CAP // 10
 
 
 def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch, tmp_path):
@@ -265,10 +270,10 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     monkeypatch.setattr(FixedPointStream, "_ensure", ensure_spy)
     argv = ["coincide", str(p), "--seeds", "a,b", "--deep", "--expect-witness", "--horizon"]
     code, payload = _run_json(capsys, argv + ["100"])
-    # one scan, at the cap; the closure proves there is no witness, and no
-    # stream is expanded past the first block of that scan
+    # one call, at the cap; the closure proves there is no witness, and the
+    # report is read off the closure without expanding either stream
     assert code == 1 and horizons == [5000]
-    assert 0 < max(requested) <= 32 + 1
+    assert requested == []
     sub = parse_substitution_spec(p.read_text()).substitution
     expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 100, 5000)
     assert expected.horizon == 5000 and expected.stabilized is True
@@ -281,16 +286,15 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     assert capsys.readouterr().err == "error: horizon must be >= 1\n"
 
 
-def test_coincide_without_witness_stops_after_the_first_block(capsys, monkeypatch, tm_spec):
-    # Thue-Morse: the closure proves there is no witness, and its D values all
-    # appear in the scan's first block, so the buffers stop one image past it
+def test_coincide_without_witness_reads_no_letter(capsys, monkeypatch, tm_spec):
+    # Thue-Morse: the closure proves there is no witness, and the first index of
+    # each D value is read off it, so neither stream writes a letter
     written = spy_letters_written(monkeypatch)
     code, payload = _run_json(capsys, ["coincide", tm_spec, "--seeds", "a,b", "--horizon", "10000000"])
     assert code == 0 and payload["pairs"] == [
         {"seeds": ["a", "b"], "period": 1, "horizon": 10_000_000, "witness": None,
          "delta_values": [[-1, 1], [0, 0], [1, -1]], "stabilized": True}]
-    first_block = coincidence._BLOCK_CELLS // 2 + 1  # D_1..D_rows read one letter more
-    assert len(written) == 2 and all(first_block <= count <= first_block + 1 for count in written.values())
+    assert written == {}
 
 
 def test_coincide_on_polynomial_growth_writes_each_letter_once(capsys, monkeypatch, tmp_path):
@@ -355,6 +359,34 @@ def test_coincide_deep_on_an_indeterminate_pair_matches_the_full_scan(capsys, mo
     assert not expected.found
     code, payload = _run_json(capsys, ["coincide", uniform_spec, "--seeds", "a,b", "--deep", "--horizon", "100"])
     assert code == 0 and payload["pairs"] == [{"seeds": ["a", "b"], "period": 1, **expected.to_json_dict()}]
+
+
+# sha256 of the stdout of `coincide SPEC --seeds a,b` and of the same with
+# --deep, as printed when every pair was answered by the prefix-difference scan
+_COINCIDE_STDOUT_SHA256 = {
+    "thue-morse": ("a -> ab\nb -> ba\n",
+                   "8ba24aa11ce23c3363fb834f38c75f758c7d2df176ca9eb307923068f4b8951c",
+                   "e7924b1b448be00d7390458d0b1aa829e4ebff9363d37dda0b89bbe06c99a272"),
+    "complement": ("a -> abbaab\nb -> baabba\n",
+                   "8ba24aa11ce23c3363fb834f38c75f758c7d2df176ca9eb307923068f4b8951c",
+                   "e7924b1b448be00d7390458d0b1aa829e4ebff9363d37dda0b89bbe06c99a272"),
+    "aab-ba": ("a -> aab\nb -> ba\n",
+               "0b1787e697c3681795c7bf8709a954199ca47202d1a1551edb7e574d0ee4a7e0",
+               "0b1787e697c3681795c7bf8709a954199ca47202d1a1551edb7e574d0ee4a7e0"),
+    "late-witness": ("a -> bbabc\nb -> aabb\nc -> ac\n",
+                     "cebb83b82a296a6974512986ada9b80e5530c6f2803d890be0bbb19e31919f8f",
+                     "e1ed362da702004145b9fc36ef453aadf3cdf8a35b446980d007f226f66e4dfc"),
+}
+
+
+@pytest.mark.parametrize("name", list(_COINCIDE_STDOUT_SHA256))
+def test_coincide_stdout_is_byte_identical(capsys, tmp_path, name):
+    rules, plain, deep = _COINCIDE_STDOUT_SHA256[name]
+    spec = tmp_path / "pair.sub"
+    spec.write_text(rules)
+    for extra, expected in (([], plain), (["--deep"], deep)):
+        assert main(["coincide", str(spec), "--seeds", "a,b", *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected, extra
 
 
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
@@ -557,7 +589,7 @@ def test_num_decode_rejects_negative_max_realize(capsys, fib_spec):
 
 def test_ipset_verify_reads_letters_without_a_position_set(capsys, monkeypatch, tmp_path, pair_spec):
     """Without --horizon all 15 sums of the abb/ba pair, up to 772299000, are
-    checked, and nothing is expanded past the witness scan; an explicit
+    checked, and no stream is read: the closure gives the witness; an explicit
     --horizon still leaves the sums past it unchecked."""
     lengths = []
     prefix_indices = FixedPointStream.prefix_indices
@@ -577,12 +609,27 @@ def test_ipset_verify_reads_letters_without_a_position_set(capsys, monkeypatch, 
     code, payload = _run_json(capsys, argv + ["--expect-pass"])
     assert code == 0 and payload["verdict"] == "pass" and payload["unchecked"] == []
     assert payload["family"]["generators"] == [99, 19601, 3880899, 768398401]
-    assert payload["horizon"] == 772299002 and max(lengths) == cli.DEFAULT_HORIZON
+    assert payload["horizon"] == 772299002 and lengths == []
     argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--count", "3",
             "--max-subset-size", "2", "--horizon", "2000", "--expect-pass"]
     code, payload = _run_json(capsys, argv)
     assert code == 1 and payload["verdict"] == "incomplete" and payload["failures"] == []
     assert payload["unchecked"] == [[[51536], 51536], [[23, 51536], 51559], [[1097, 51536], 52633]]
+
+
+def test_ipset_verify_scans_for_the_witness_below_the_cap(capsys, monkeypatch, uniform_spec, pair_spec):
+    # an Indeterminate pair without a witness: the scan stops at MATERIALIZE_CAP
+    # (before, a huge --horizon grew both streams until memory ran out)
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 5000)
+    written = spy_letters_written(monkeypatch)
+    argv = ["ipset", "verify", uniform_spec, "--seeds", "a,b", "--horizon", "10000000000000"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 1 and payload == {"witness": None, "verdict": "no-witness"}
+    assert len(written) == 2 and all(5000 - 1 <= count < 5000 + 3 for count in written.values())
+    # the automaton check of the sums keeps the uncapped horizon
+    argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--horizon", "10000000000000", "--expect-pass"]
+    code, payload = _run_json(capsys, argv)
+    assert code == 0 and payload["horizon"] == 10_000_000_000_000 and payload["verdict"] == "pass"
 
 
 def test_ipset_verify_on_period_two_seeds(capsys, tmp_path):
@@ -790,25 +837,37 @@ def _modules_after(argv):
     return json.loads(result.stderr.splitlines()[-1])
 
 
-def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec):
+def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spec, tmp_path):
     start_up = ["substrand", "substrand.cli", "substrand.errors"]
     assert _modules_after(["--help"]) == [0, start_up]
     assert _modules_after(["ipset", "verify", "--generators", "1"]) == [2, start_up]
     code, loaded = _modules_after(["classify", fib_spec])
     assert code == 0 and "substrand.spectral" in loaded
     assert not {f"substrand.{m}" for m in ("coincidence", "ipsets", "numeration", "points", "strand")} & set(loaded)
-    # numpy loads only where streams, scans and strands are built
+    # numpy loads only where streams are read and strands are built
     for argv in (["classify", fib_spec],
                  ["num", "encode", fib_spec, "--start", "a", "7"],
                  ["num", "decode", fib_spec, "a: a.e.a"],
                  ["num", "list", fib_spec, "--start", "a", "--count", "5"],
                  ["num", "sync", pair_spec, "--starts", "a,b", "--range", "0:20"],
                  ["num", "graph", fib_spec, "--weights", "3"],
-                 ["ipset", "verify", fib_spec, "--generators", "2,5", "--seed", "a", "--factor", "a"]):
+                 ["ipset", "verify", fib_spec, "--generators", "2,5", "--seed", "a", "--factor", "a"],
+                 # pairs the balanced-pair closure decides are answered without a scan
+                 ["coincide", tm_spec, "--seeds", "a,b"],
+                 ["coincide", tm_spec, "--seeds", "a,b", "--deep"],
+                 ["coincide", pair_spec, "--seeds", "a,b"],
+                 ["coincide", pair_spec, "--seeds", "a,b", "--deep"],
+                 ["ipset", "verify", pair_spec, "--seeds", "a,b"]):
         code, loaded = _modules_after(argv)
         assert code == 0 and "substrand.words" in loaded, argv
         assert not [m for m in loaded if m.split(".")[0] == "numpy"], argv
     assert "numpy" in _modules_after(["expand", fib_spec, "--seed", "a", "--length", "5"])[1]
+    # an Indeterminate pair still scans
+    late, out = tmp_path / "late.sub", tmp_path / "late.json"
+    late.write_text("a -> bbabc\nb -> aabb\nc -> ac\n")
+    code, loaded = _modules_after(["coincide", str(late), "--seeds", "a,b", "--deep", "--output", str(out)])
+    assert code == 0 and "numpy" in loaded
+    assert json.loads(out.read_text())["pairs"][0]["witness"]["k"] == 216934
 
 
 def test_package_names_load_on_first_use():

@@ -15,8 +15,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from substrand import (
     CoincidenceVerdict,
+    CoincidenceWitness,
     FixedPointStream,
     Substitution,
+    Word,
     abelianization_matrix,
     balanced_pair_closure,
     delta_sequence,
@@ -184,18 +186,14 @@ def _check_closure(sub, period):
         assert not verdict.found and not equal
         assert closure.delta_values == delta_value_set(x, y, _CLOSURE_HORIZON) == verdict.delta_values
         assert _pairs_below(sub, period, 4096) <= {(u.indices, v.indices) for u, v in closure.pairs}
-        # one row a block: a fresh scan stops right after the block of the first
-        # cut or of the last D value, and reports what the full scan does
+        # fresh streams: the report is what the full scan gives, and no letter is read
         xs, ys = ([sub.alphabet.index(c) for c in oracle_prefix(sub, s, _CLOSURE_HORIZON, period)] for s in "ab")
         _, first_seen = oracle_scan(xs, ys, _CLOSURE_HORIZON, n, stop_at_witness=False)
         expected = CoincidenceVerdict(_CLOSURE_HORIZON, None, frozenset(first_seen),
                                       max(first_seen.values()) < _CLOSURE_HORIZON // 2)
         fresh = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(coincidence, "_BLOCK_CELLS", 1)
-            assert find_strong_coincidence(*fresh, _CLOSURE_HORIZON) == expected
-        last = max(len(closure.pairs[0][0]), max(first_seen.values()))
-        assert all(len(s._buf) <= last + max(sub.image_lengths(period)) for s in fresh)
+        assert find_strong_coincidence(*fresh, _CLOSURE_HORIZON) == expected
+        assert all(len(s._buf) == 0 for s in fresh)
     else:
         assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
     if verdict.found:
@@ -213,6 +211,55 @@ def test_balanced_pair_closure_matches_the_scan(sub):
 @example(sub=Substitution({"a": "bcac", "b": "abc", "c": "aca"}))  # D values not symmetric under -1
 def test_balanced_pair_closure_of_period_two_seeds_matches_the_scan(sub):
     _check_closure(sub, 2)
+
+
+_DESCENT_HORIZON = 1 << 14
+
+
+@settings(max_examples=150, deadline=None)
+@given(sub=st.one_of(seeded_pairs(), seeded_pairs(period=2), complement_pairs()),
+       same=st.booleans(), data=st.data())
+@example(sub=Substitution({"a": "aab", "b": "ba"}), same=False, data=None)
+def test_descent_matches_the_scan(sub, same, data):
+    # decided pairs are answered off the closure; the full scan is the oracle
+    assume(is_primitive(abelianization_matrix(sub))[0])
+    seeds = "aa" if same else "ab"
+    streams = [FixedPointStream(sub, s) for s in seeds]
+    verdict, _, _ = coincidence._close(*streams)
+    assume(verdict != coincidence.INDETERMINATE)
+    complete, _, _ = coincidence._close(*streams, complete=True)
+    n, letters, period = len(sub.alphabet), sub.alphabet, streams[0].period
+    xs, ys = ([letters.index(c) for c in oracle_prefix(sub, s, _DESCENT_HORIZON, period)] for s in seeds)
+    witness_index, first_seen = oracle_scan(xs, ys, _DESCENT_HORIZON, n, stop_at_witness=False)
+    assert witness_index is None or verdict == coincidence.WITNESS_EXISTS
+    last = max(first_seen.values())
+    horizons = {1, 2, last, last + 1, 2 * last, 2 * last + 1, 2 * last + 2, _DESCENT_HORIZON}
+    if data is not None:
+        horizons.add(data.draw(st.integers(1, _DESCENT_HORIZON), label="horizon"))
+    if witness_index is not None:
+        horizons |= {witness_index - 1, witness_index, witness_index + 1}
+    scan, scans = coincidence._scan, []
+
+    def counting_scan(x, y, horizon):
+        scans.append(horizon)
+        return scan(x, y, horizon)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coincidence, "_scan", counting_scan)
+        for horizon in sorted(h for h in horizons if 1 <= h <= _DESCENT_HORIZON):
+            x, y = (FixedPointStream(sub, s) for s in seeds)
+            found = find_strong_coincidence(x, y, horizon)
+            # no letter is read, unless the scan ran: past a witness, on a capped complete closure
+            assert len(x._buf) == len(y._buf) == 0 or scans[-1:] == [horizon]
+            if witness_index is not None and witness_index < horizon:
+                k = witness_index
+                witness = CoincidenceWitness(k, letters.letters[xs[k]], Word(letters, xs[:k]), Word(letters, ys[:k]))
+                assert found == CoincidenceVerdict(horizon, witness)
+            else:
+                seen = {v: k for v, k in first_seen.items() if k < horizon}
+                assert found == CoincidenceVerdict(horizon, None, frozenset(seen), max(seen.values()) < horizon // 2)
+    if scans:
+        assert verdict == coincidence.WITNESS_EXISTS and complete == coincidence.INDETERMINATE
 
 
 def test_balanced_pair_closure_of_thue_morse(thue_morse):
