@@ -21,6 +21,7 @@ empty token is used instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import InputError
 from .words import Substitution, Word, apply_substitution, seed_period
@@ -76,11 +77,10 @@ class PrefixGraph:
         return sum(lengths[i] for i in word.indices)
 
     def require_seed(self, vertex: str) -> None:
-        if seed_period(self.substitution, vertex) != 1:
-            raise InputError(
-                f"{vertex!r} is not a period-1 seed of this substitution; "
-                "build the graph of the appropriate power instead"
-            )
+        period = seed_period(self.substitution, vertex)
+        if period != 1:
+            least = "it is not a seed of any period" if period is None else f"its least period is {period}"
+            raise InputError(f"{vertex!r} is not a period-1 seed of this substitution; {least}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -231,48 +231,48 @@ def letter_at(g: PrefixGraph, start: str, value: int) -> str:
     return g.alphabet.letters[terminal]
 
 
+def _walks(g: PrefixGraph, start_index: int, lo: int):
+    """Odometer of the numeration (Dumont & Thomas, Theor. Comput. Sci. 65,
+    1989): the paths of lo, lo + 1, ... at the seed, each as the live label
+    list, which the next step overwrites, and the terminal letter index.
+
+    One greedy walk seeds the levels. A step grows the lowest label that can
+    grow by one letter and resets the levels below it to empty labels; when
+    none can grow, the path gains a top level with a one-letter label.
+    """
+    images = [g.substitution.image_indices(i) for i in range(len(g.alphabet))]
+    labels, terminal = _greedy_walk(g, start_index, lo)
+    labels, vertices, vertex = list(labels), [], start_index
+    for label in labels:
+        vertices.append(vertex)
+        vertex = images[vertex][len(label)]
+    while True:
+        yield labels, terminal
+        level = len(labels) - 1
+        while level >= 0 and len(labels[level]) + 1 >= len(images[vertices[level]]):
+            level -= 1
+        if level < 0:
+            level, vertices[:0], labels[:0] = 0, [start_index], [()]
+        labels[level] = images[vertices[level]][:len(labels[level]) + 1]
+        terminal = images[vertices[level]][len(labels[level])]
+        for below in range(level + 1, len(labels)):
+            vertices[below] = terminal
+            labels[below] = ()
+            terminal = images[terminal][0]
+
+
 def enumerate_paths(g: PrefixGraph, start: str, count: int) -> list[PathRepresentation]:
     """The first ``count`` paths at the seed in the total path order.
 
     Paths are ordered by label count, then lexicographically by label
-    length; the k-th path (from 0) has value k. Generated directly from the
-    order, independently of the greedy encoder.
+    length; the k-th path (from 0) has value k. Stepped through by the
+    odometer from the empty path (see :func:`_walks`).
     """
     g.require_seed(start)
     if count < 1:
         raise InputError("count must be >= 1")
-    out = [PathRepresentation(start, ())]
-    sub = g.substitution
-    start_index = g.alphabet.index(start)
-
-    def extend(vertex_index: int, labels: list[tuple[int, ...]], remaining_levels: int):
-        if remaining_levels == 0:
-            out.append(
-                PathRepresentation(
-                    start, tuple(Word(g.alphabet, l) for l in labels)
-                )
-            )
-            return len(out) < count
-        image = sub.image_indices(vertex_index)
-        for k in range(len(image)):
-            if not labels and k == 0:
-                continue  # properness: first label nonempty
-            labels.append(image[:k])
-            keep_going = extend(image[k], labels, remaining_levels - 1)
-            labels.pop()
-            if not keep_going:
-                return False
-        return True
-
-    n_labels = 1
-    while len(out) < count:
-        before = len(out)
-        if not extend(start_index, [], n_labels):
-            break
-        if len(out) == before:
-            break  # no paths of this length exist, none longer will either
-        n_labels += 1
-    return out[:count]
+    walks = _walks(g, g.alphabet.index(start), 0)
+    return [_path(g, start, labels) for labels, _ in islice(walks, count)]
 
 
 @dataclass(frozen=True)
@@ -319,8 +319,10 @@ def synchronizing_scan(
 ) -> SynchronizingScan:
     """Which integers in [lo, hi] have same-terminal paths from both seeds.
 
-    Long runs of consecutive synchronizing integers are the desk-scale
-    shadow of thickness of the synchronizing value set.
+    One odometer per seed steps through the range (see :func:`_walks`), and
+    paths are built only for the values listed. Long runs of consecutive
+    synchronizing integers are the desk-scale shadow of thickness of the
+    synchronizing value set.
     """
     g.require_seed(start_a)
     g.require_seed(start_b)
@@ -330,12 +332,10 @@ def synchronizing_scan(
     index_a = g.alphabet.index(start_a)
     index_b = g.alphabet.index(start_b)
     entries = []
-    run = 0
-    max_run = 0
+    run = max_run = 0
     previous = None
-    for value in range(lo, hi + 1):
-        labels_a, terminal_a = _greedy_walk(g, index_a, value)
-        labels_b, terminal_b = _greedy_walk(g, index_b, value)
+    walks = zip(range(lo, hi + 1), _walks(g, index_a, lo), _walks(g, index_b, lo))
+    for value, (labels_a, terminal_a), (labels_b, terminal_b) in walks:
         if terminal_a == terminal_b:
             entries.append(SynchronizingEntry(
                 value, g.alphabet.letters[terminal_a],

@@ -6,6 +6,7 @@ import pytest
 
 from substrand import (
     FixedPointStream,
+    PathRepresentation,
     Substitution,
     Word,
     abelianization_matrix,
@@ -99,6 +100,35 @@ def oracle_seed_period(sub, letter):
         if word[0] == letter and len(word) > 1:
             return m
     return None
+
+
+def oracle_enumerate_paths(g, start, count):
+    """The first ``count`` paths at a period-1 seed, generated recursively
+    from the path order (label count, then label lengths lexicographically,
+    first label nonempty): the enumerator the library ran before its
+    odometer."""
+    out = [PathRepresentation(start, ())]
+    sub = g.substitution
+
+    def extend(vertex_index, labels, remaining_levels):
+        if remaining_levels == 0:
+            out.append(PathRepresentation(start, tuple(Word(g.alphabet, l) for l in labels)))
+            return len(out) < count
+        image = sub.image_indices(vertex_index)
+        for k in range(len(image)):
+            if not labels and k == 0:
+                continue  # properness: first label nonempty
+            labels.append(image[:k])
+            keep_going = extend(image[k], labels, remaining_levels - 1)
+            labels.pop()
+            if not keep_going:
+                return False
+        return True
+
+    n_labels = 1
+    while len(out) < count and extend(g.alphabet.index(start), [], n_labels):
+        n_labels += 1
+    return out[:count]
 
 
 def oracle_is_primitive(matrix):

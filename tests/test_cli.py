@@ -389,6 +389,47 @@ def test_coincide_stdout_is_byte_identical(capsys, tmp_path, name):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected, extra
 
 
+# sha256 of the stdout of each numeration command below, as printed when
+# every value took its own greedy walk and `num list` a recursive enumerator
+_NUM_COMMANDS = (
+    ["sync", "--starts", "a,b", "--range", "0:3000"],
+    ["sync", "--starts", "a,b", "--range", "1000000017:1000000516"],
+    ["list", "--start", "a", "--count", "3000"],
+)
+_NUM_STDOUT_SHA256 = {
+    "aab-ba": ("a -> aab\nb -> ba\n", (
+        "c5cacc47d9076ff0df5c9f8d32e5f0584418f031a57d64c6b0a82e2fab044a8d",
+        "e8081dd9c94f45a519c293ae81b06d4efc8861706ccd6fbb5ac209ea24082c00",
+        "5ac826d5fe35d418ea23afb9484472d09ec3f35bc88ed674d57f23cc84be61cb",
+    )),
+    "ab-baa": ("a -> ab\nb -> baa\n", (
+        "91ecd2c9b71950f07f1f541e2ad9240bfc8365fa5a1b5c545743146f78721fee",
+        "d6363e81de4a249dea1c14d87ae55a1b2fd21ee9635ec99dde3aa872562ca49f",
+        "bb5cc53265f59570b87536e88a1f922b87bbffce2cdc783e52d288cd99421319",
+    )),
+}
+
+
+@pytest.mark.parametrize("name", list(_NUM_STDOUT_SHA256))
+def test_num_stdout_is_byte_identical(capsys, tmp_path, name):
+    rules, digests = _NUM_STDOUT_SHA256[name]
+    spec = tmp_path / "pair.sub"
+    spec.write_text(rules)
+    for (command, *flags), expected in zip(_NUM_COMMANDS, digests):
+        assert main(["num", command, str(spec), *flags]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == expected, flags
+
+
+def test_num_names_the_least_period_of_a_seed(capsys, tmp_path):
+    spec = tmp_path / "tm.sub"
+    spec.write_text("a -> ba\nb -> ab\nc -> c\n")
+    for start, reason in (("a", "its least period is 2"), ("c", "it is not a seed of any period")):
+        assert main(["num", "list", str(spec), "--start", start]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {start!r} is not a period-1 seed of this substitution; {reason}\n"
+
+
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
     code, payload = _run_json(
         capsys,

@@ -1,8 +1,10 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_enumerate_paths
 from substrand import (
     FixedPointStream,
     InputError,
@@ -19,6 +21,7 @@ from substrand import (
     parse_path,
     synchronizing_scan,
 )
+from substrand.numeration import _greedy_walk, _walks
 
 
 def _edges(graph):
@@ -116,6 +119,42 @@ def test_enumeration_is_the_order_of_values(fibonacci, tribonacci, aab_bbaab):
         for k, p in enumerate(paths):
             assert decode_path(g, p, materialize=False).value == k
             assert encode_integer(g, seed, k) == p
+
+
+# a begins its own image, so it is a period-1 seed
+_SEEDED_RULES = st.integers(2, 3).flatmap(lambda n: st.tuples(*(
+    st.text("abc"[:n], min_size=1, max_size=3) for _ in range(n)
+))).map(lambda tails: {c: ("a" if c == "a" else "") + tail for c, tail in zip("abc", tails)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDED_RULES, st.integers(1, 400))
+def test_enumeration_matches_the_recursive_oracle(rules, count):
+    g = build_prefix_graph(Substitution(rules))
+    assert enumerate_paths(g, "a", count) == oracle_enumerate_paths(g, "a", count)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(2, 3).flatmap(lambda n: st.tuples(
+        st.text("abc"[:n], max_size=2), st.text("abc"[:n], max_size=2),
+        st.lists(st.sampled_from("abc"[:n]), min_size=n - 1, max_size=n - 1),
+    )),
+    st.integers(0, 10**6),
+)
+def test_odometer_steps_like_the_greedy_walk(parts, offset):
+    # a -> a u a v makes |sigma^L(a)| at least 2^L, so 10^30 is some 100
+    # levels deep; every other letter maps to one letter, whose labels can
+    # never grow past the empty one. A window from |sigma^L(a)| - 2 crosses
+    # the value where the path gains level L + 1.
+    u, v, others = parts
+    rules = dict(zip("abc", ["a" + u + "a" + v, *others]))
+    sub = Substitution(rules)
+    g = build_prefix_graph(sub)
+    level_starts = [sub.image_lengths(level)[0] - 2 for level in range(1, 7)]
+    for lo in (0, *level_starts, 10**9 + offset, 10**30 + offset):
+        window = [(tuple(labels), terminal) for labels, terminal in islice(_walks(g, 0, lo), 300)]
+        assert window == [_greedy_walk(g, 0, value) for value in range(lo, lo + 300)], (rules, lo)
 
 
 def test_no_adjacent_nonempty_labels_for_fibonacci(fibonacci):
