@@ -5,12 +5,16 @@ Rule files (conventionally ``.sub``) use the one-rule-per-line format of
 least period, found from the rules by :func:`substrand.words.seed_period`
 (at most the alphabet size).
 
+One path runs every subcommand: :func:`main` reads the rule file, hands the
+substitution to the subcommand's handler, and writes the one rendering the
+handler's result was asked for (JSON, text or CSV) to stdout or to
+``--output``, so ``--output`` and ``--format`` behave the same everywhere.
 Output is JSON; ``--format text`` gives the plain rendering and is taken
 only by the subcommands that have one: ``classify``, ``expand``,
 ``occurrences``, ``gaps``, ``num encode``, ``num decode``, ``num list`` and
-``ipset verify``. ``ipset verify --seeds`` takes the seed and factor from
-the witness and refuses ``--seed`` and ``--factor``; ``--generators`` gives
-the family and refuses ``--count``.
+``ipset verify``. ``num graph --weights`` prints CSV. ``ipset verify
+--seeds`` takes the seed and factor from the witness and refuses ``--seed``
+and ``--factor``; ``--generators`` gives the family and refuses ``--count``.
 
 Exit codes: 0 on success, 1 when an ``--expect-*`` flag is set and the
 analysis came back negative or when the reader closes stdout early (a broken
@@ -104,15 +108,16 @@ def _scan_horizon(args) -> int:
     return horizon
 
 
-def _emit(args, payload, text: str | None = None) -> None:
-    """JSON by default; ``--format text`` uses the plain rendering if given."""
-    if getattr(args, "format", "json") == "text" and text is not None:
-        body = text
+def _emit(args, payload, text) -> None:
+    """Write one rendering of a handler's result: the text (``--format text``,
+    or a result without a payload) or else the JSON. Either may be a function
+    that builds it, so that the rendering not asked for is never built."""
+    if text is not None and (payload is None or getattr(args, "format", "json") == "text"):
+        body = text() if callable(text) else text
     else:
-        body = json.dumps(payload, indent=2, sort_keys=True)
-    out_path = getattr(args, "output", None)
-    if out_path:
-        Path(out_path).write_text(body + "\n")
+        body = json.dumps(payload() if callable(payload) else payload, indent=2, sort_keys=True)
+    if args.output:
+        Path(args.output).write_text(body + "\n")
     else:
         print(body)
 
@@ -138,79 +143,57 @@ def _parse_seeds(value: str) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each takes the parsed arguments and the rule file's
+# substitution, and returns (exit code, JSON payload, text rendering) for
+# main to write; a rendering the command does not have is None, and one that
+# takes work to build is a function that builds it
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, sub: Substitution):
     from . import spectral
 
-    spec = _load_spec(args.spec)
-    report = spectral.classify(spec.substitution)
-    payload = report.to_json_dict()
-    lines = [f"{key}: {json.dumps(value, sort_keys=True)}" for key, value in sorted(payload.items())]
-    _emit(args, payload, "\n".join(lines))
-    return 0
+    payload = spectral.classify(sub).to_json_dict()
+    return 0, payload, lambda: "\n".join(f"{key}: {json.dumps(value, sort_keys=True)}"
+                                         for key, value in sorted(payload.items()))
 
 
-def _cmd_expand(args) -> int:
+def _cmd_expand(args, sub: Substitution):
     from .words import FixedPointStream
 
     _check_cap("--length", args.length)
-    spec = _load_spec(args.spec)
-    stream = FixedPointStream(spec.substitution, args.seed)
+    stream = FixedPointStream(sub, args.seed)
     prefix = stream.prefix_text(args.length)
-    _emit(
-        args,
-        {"seed": args.seed, "period": stream.period, "length": args.length, "prefix": prefix},
-        prefix,
-    )
-    return 0
+    return 0, {"seed": args.seed, "period": stream.period, "length": args.length, "prefix": prefix}, prefix
 
 
-def _cmd_occurrences(args) -> int:
+def _cmd_occurrences(args, sub: Substitution):
     from . import points
     from .words import FixedPointStream
 
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    stream = FixedPointStream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, horizon)
-    text = args.format == "text"  # one rendering: each makes its own Python ints
-    _emit(args, None if text else occ.to_json_dict(), occ.to_text() if text else None)
-    return 0
+    occ = points.occurrences(FixedPointStream(sub, args.seed), args.factor, horizon)
+    return 0, occ.to_json_dict, occ.to_text  # each rendering makes its own Python ints
 
 
-def _cmd_gaps(args) -> int:
+def _cmd_gaps(args, sub: Substitution):
     from . import points
     from .words import FixedPointStream
 
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    stream = FixedPointStream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, horizon)
+    occ = points.occurrences(FixedPointStream(sub, args.seed), args.factor, horizon)
     gap = points.max_return_gap(occ)
-    payload = {
-        "factor": str(occ.factor),
-        "horizon": occ.horizon,
-        "count": len(occ),
-        "max_return_gap": gap,
-    }
-    _emit(args, payload, str(gap))
-    return 0
+    payload = {"factor": str(occ.factor), "horizon": occ.horizon, "count": len(occ), "max_return_gap": gap}
+    return 0, payload, str(gap)
 
 
-def _cmd_proximal(args) -> int:
+def _cmd_proximal(args, sub: Substitution):
     from . import points
 
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    a, b = _parse_seeds(args.seeds)
-    x, y, _ = _stream_pair(spec.substitution, a, b)
+    x, y, _ = _stream_pair(sub, *_parse_seeds(args.seeds))
     evidence = points.proximality_scan(x, y, args.min_window, horizon)
-    _emit(args, evidence.to_json_dict())
-    if args.expect_evidence and evidence.verdict != points.EVIDENCE_FOR:
-        return 1
-    return 0
+    code = int(args.expect_evidence and evidence.verdict != points.EVIDENCE_FOR)
+    return code, evidence.to_json_dict(), None
 
 
 def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
@@ -233,12 +216,10 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
     return verdict, period
 
 
-def _cmd_coincide(args) -> int:
+def _cmd_coincide(args, sub: Substitution):
     from .words import list_periodic_seeds
 
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    sub = spec.substitution
     if args.seeds:
         pairs = [_parse_seeds(args.seeds)]
     else:
@@ -248,43 +229,27 @@ def _cmd_coincide(args) -> int:
     all_found = bool(pairs)
     for a, b in pairs:
         verdict, period = _coincide_pair(sub, a, b, horizon, args.deep)
-        entry = {"seeds": [a, b], "period": period}
-        entry.update(verdict.to_json_dict())
-        results.append(entry)
+        results.append({"seeds": [a, b], "period": period, **verdict.to_json_dict()})
         all_found = all_found and verdict.found
-    _emit(args, {"pairs": results})
-    if args.expect_witness and not all_found:
-        return 1
-    return 0
+    return int(args.expect_witness and not all_found), {"pairs": results}, None
 
 
-def _cmd_num_graph(args) -> int:
+def _cmd_num_graph(args, sub: Substitution):
     from . import numeration
 
-    if args.weights is not None and args.weights < 0:
+    if args.weights is None:
+        return 0, numeration.build_prefix_graph(sub).to_json_dict(), None
+    if args.weights < 0:
         raise InputError(f"--weights must be >= 0, got {args.weights}")
-    spec = _load_spec(args.spec)
-    if args.weights is not None:
-        _check_weight_digits(spec.substitution, args.weights)
-    graph = numeration.build_prefix_graph(spec.substitution)
-    if args.weights is not None:
-        rows = ["letter,prefix,level,weight"]
-        for letter in spec.substitution.alphabet:
-            image = spec.substitution.image(letter)
-            for k in range(len(image)):
-                prefix = image[:k]
-                for level in range(args.weights + 1):
-                    rows.append(
-                        f"{letter},{prefix},{level},{graph.weight(level, prefix)}"
-                    )
-        body = "\n".join(rows)
-        if args.output:
-            Path(args.output).write_text(body + "\n")
-        else:
-            print(body)
-        return 0
-    _emit(args, graph.to_json_dict())
-    return 0
+    _check_weight_digits(sub, args.weights)
+    graph = numeration.build_prefix_graph(sub)
+    rows = ["letter,prefix,level,weight"]
+    for letter in sub.alphabet:
+        image = sub.image(letter)
+        for prefix in (image[:k] for k in range(len(image))):
+            rows += (f"{letter},{prefix},{level},{graph.weight(level, prefix)}"
+                     for level in range(args.weights + 1))
+    return 0, None, "\n".join(rows)
 
 
 def _check_weight_digits(sub: Substitution, levels: int) -> None:
@@ -300,61 +265,48 @@ def _check_weight_digits(sub: Substitution, levels: int) -> None:
                              f"({digits} by level {level})")
 
 
-def _cmd_num_encode(args) -> int:
+def _cmd_num_encode(args, sub: Substitution):
     from . import numeration
 
-    spec = _load_spec(args.spec)
-    graph = numeration.build_prefix_graph(spec.substitution)
+    graph = numeration.build_prefix_graph(sub)
     path = numeration.encode_integer(graph, args.start, args.value)
-    rendered = numeration.format_path(path, spec.substitution.alphabet)
-    _emit(
-        args,
-        {"value": args.value, "start": args.start, "path": rendered,
-         "labels": [str(u) for u in path.labels]},
-        rendered,
-    )
-    return 0
+    rendered = numeration.format_path(path, sub.alphabet)
+    labels = [str(u) for u in path.labels]
+    return 0, {"value": args.value, "start": args.start, "path": rendered, "labels": labels}, rendered
 
 
-def _cmd_num_decode(args) -> int:
+def _cmd_num_decode(args, sub: Substitution):
     from . import numeration
 
     realize_cap = numeration.DEFAULT_REALIZE_CAP if args.max_realize is None else args.max_realize
     if realize_cap < 0:
         raise InputError(f"--max-realize must be >= 0, got {realize_cap}")
     _check_cap("--max-realize", realize_cap)
-    spec = _load_spec(args.spec)
-    graph = numeration.build_prefix_graph(spec.substitution)
-    path = numeration.parse_path(spec.substitution, args.path)
+    graph = numeration.build_prefix_graph(sub)
+    path = numeration.parse_path(sub, args.path)
     decoded = numeration.decode_path(graph, path, realize_cap=realize_cap)
-    _emit(args, decoded.to_json_dict(), str(decoded.value))
-    return 0
+    return 0, decoded.to_json_dict, lambda: str(decoded.value)
 
 
-def _cmd_num_list(args) -> int:
+def _cmd_num_list(args, sub: Substitution):
     from . import numeration
 
     _check_cap("--count", args.count, NUMERATION_CAP, "values")
-    spec = _load_spec(args.spec)
-    graph = numeration.build_prefix_graph(spec.substitution)
+    graph = numeration.build_prefix_graph(sub)
     paths = numeration.enumerate_paths(graph, args.start, args.count)
-    rendered = [numeration.format_path(p, spec.substitution.alphabet) for p in paths]
-    text = "\n".join(f"{k}\t{r}" for k, r in enumerate(rendered))
-    _emit(args, {"start": args.start, "paths": rendered}, text)
-    return 0
+    rendered = [numeration.format_path(p, sub.alphabet) for p in paths]
+    return 0, {"start": args.start, "paths": rendered}, (
+        lambda: "\n".join(f"{k}\t{r}" for k, r in enumerate(rendered)))
 
 
-def _cmd_num_sync(args) -> int:
+def _cmd_num_sync(args, sub: Substitution):
     from . import numeration
 
     lo, hi = args.range
     _check_cap("--range width", hi - lo + 1, NUMERATION_CAP, "values")
-    spec = _load_spec(args.spec)
-    graph = numeration.build_prefix_graph(spec.substitution)
-    a, b = _parse_seeds(args.starts)
-    scan = numeration.synchronizing_scan(graph, a, b, (lo, hi))
-    _emit(args, scan.to_json_dict())
-    return 0
+    graph = numeration.build_prefix_graph(sub)
+    scan = numeration.synchronizing_scan(graph, *_parse_seeds(args.starts), (lo, hi))
+    return 0, scan.to_json_dict(), None
 
 
 def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int):
@@ -370,24 +322,18 @@ def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int)
     return witness, family, period
 
 
-def _cmd_ipset_build(args) -> int:
+def _cmd_ipset_build(args, sub: Substitution):
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    a, b = _parse_seeds(args.seeds)
-    witness, family, _ = _witness_family(spec.substitution, a, b, horizon, args.count)
+    witness, family, _ = _witness_family(sub, *_parse_seeds(args.seeds), horizon, args.count)
     if witness is None:
-        _emit(args, {"witness": None, "horizon": horizon, "family": None})
-        return 1
-    _emit(args, {"witness": witness.to_json_dict(), "family": family.to_json_dict()})
-    return 0
+        return 1, {"witness": None, "horizon": horizon, "family": None}, None
+    return 0, {"witness": witness.to_json_dict(), "family": family.to_json_dict()}, None
 
 
-def _cmd_ipset_verify(args) -> int:
+def _cmd_ipset_verify(args, sub: Substitution):
     from . import ipsets, numeration
     from .words import require_seed_period
 
-    spec = _load_spec(args.spec)
-    sub = spec.substitution
     horizon = _horizon(args)
     if args.seeds and (args.seed or args.factor):
         raise InputError("--seeds takes the seed and factor from the witness; drop --seed and --factor")
@@ -410,8 +356,7 @@ def _cmd_ipset_verify(args) -> int:
         count = 2 if args.count is None else args.count
         _, family, period = _witness_family(sub, start, b, horizon, count)
         if family is None:
-            _emit(args, {"witness": None, "verdict": "no-witness"})
-            return 1
+            return 1, {"witness": None, "verdict": "no-witness"}, None
         factor = family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)
@@ -419,34 +364,26 @@ def _cmd_ipset_verify(args) -> int:
     verification = ipsets.verify_finite_sums(
         family, graph, start, factor, horizon, args.max_subset_size
     )
-    _emit(args, verification.to_json_dict(), verification.to_text())
-    if args.expect_pass and verification.verdict != "pass":
-        return 1
-    return 0
+    code = int(args.expect_pass and verification.verdict != "pass")
+    return code, verification.to_json_dict, verification.to_text
 
 
-def _cmd_ipset_search(args) -> int:
+def _cmd_ipset_search(args, sub: Substitution):
     from . import ipsets, points
     from .words import FixedPointStream
 
     horizon = _scan_horizon(args)
-    spec = _load_spec(args.spec)
-    stream = FixedPointStream(spec.substitution, args.seed)
-    occ = points.occurrences(stream, args.factor, horizon)
+    occ = points.occurrences(FixedPointStream(sub, args.seed), args.factor, horizon)
     family = ipsets.search_ip_witness(occ, args.depth)
     if family is None:
-        _emit(args, {"found": False, "depth": args.depth, "horizon": horizon})
-        return 1 if args.expect_found else 0
-    _emit(args, {"found": True, "family": family.to_json_dict()})
-    return 0
+        return int(args.expect_found), {"found": False, "depth": args.depth, "horizon": horizon}, None
+    return 0, {"found": True, "family": family.to_json_dict()}, None
 
 
-def _strand_ingredients(args):
+def _strand_ingredients(args, sub: Substitution):
     from . import spectral, strand
     from .words import list_periodic_seeds
 
-    spec = _load_spec(args.spec)
-    sub = spec.substitution
     report = spectral.classify(sub)
     matrix = spectral.abelianization_matrix(sub)
     splitting = strand.invariant_splitting(report, matrix)
@@ -467,21 +404,20 @@ def _strand_ingredients(args):
                              f"segments ({segments} after {level} inflations)")
     seed = strand.build_strand(word)
     scan = strand.stability_scan(sub, seed, args.iterations, splitting)
-    return sub, splitting, scan
+    return splitting, scan
 
 
-def _cmd_strand_scan(args) -> int:
-    _, _, scan = _strand_ingredients(args)
-    _emit(args, scan.to_json_dict())
-    return 0
+def _cmd_strand_scan(args, sub: Substitution):
+    _, scan = _strand_ingredients(args, sub)
+    return 0, scan.to_json_dict(), None
 
 
-def _cmd_strand_export(args) -> int:
+def _cmd_strand_export(args, sub: Substitution):
     if not args.csv and not args.svg:
         raise InputError("strand export needs --csv and/or --svg")
     from . import strand
 
-    _, splitting, scan = _strand_ingredients(args)
+    splitting, scan = _strand_ingredients(args, sub)
     written = {}
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -493,19 +429,11 @@ def _cmd_strand_export(args) -> int:
                 scan.strands[-1], splitting, fh
             )
         written["svg"] = args.svg
-    written.update(scan.to_json_dict())
-    _emit(args, written)
-    return 0
+    return 0, {**written, **scan.to_json_dict()}, None
 
 
 # ---------------------------------------------------------------------------
 # parser assembly
-
-
-def _add_common(p, *, fmt=True):
-    if fmt:
-        p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--output", help="write the result to this file instead of stdout")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -523,104 +451,80 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="substrand",
         description="Analyze substitutions: classification, coincidence, numeration, IP sets, strands.",
     )
+    # every subcommand takes the rule file and --output; those with a text
+    # rendering also take --format
+    plain = argparse.ArgumentParser(add_help=False)
+    plain.add_argument("spec")
+    plain.add_argument("--output", help="write the result to this file instead of stdout")
+    formatted = argparse.ArgumentParser(add_help=False, parents=[plain])
+    formatted.add_argument("--format", choices=("json", "text"), default="json")
+
+    def command(group, name, common, handler, help):
+        p = group.add_parser(name, parents=[common], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="spectral classification report")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_classify)
+    command(sub, "classify", formatted, _cmd_classify, "spectral classification report")
 
-    p = sub.add_parser("expand", help="prefix of a fixed/periodic point")
-    p.add_argument("spec")
+    p = command(sub, "expand", formatted, _cmd_expand, "prefix of a fixed/periodic point")
     p.add_argument("--seed", required=True)
     p.add_argument("--length", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_expand)
 
-    p = sub.add_parser("occurrences", help="occurrence positions of a factor")
-    p.add_argument("spec")
+    p = command(sub, "occurrences", formatted, _cmd_occurrences, "occurrence positions of a factor")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--horizon", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_occurrences)
 
-    p = sub.add_parser("gaps", help="largest return gap of a factor")
-    p.add_argument("spec")
+    p = command(sub, "gaps", formatted, _cmd_gaps, "largest return gap of a factor")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--horizon", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_gaps)
 
-    p = sub.add_parser("proximal", help="agreement-window scan between two fixed points")
-    p.add_argument("spec")
+    p = command(sub, "proximal", plain, _cmd_proximal, "agreement-window scan between two fixed points")
     p.add_argument("--seeds", required=True)
     p.add_argument("--min-window", type=int, default=4)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--expect-evidence", action="store_true")
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_proximal)
 
-    p = sub.add_parser("coincide", help="strong-coincidence witness search")
-    p.add_argument("spec")
+    p = command(sub, "coincide", plain, _cmd_coincide, "strong-coincidence witness search")
     p.add_argument("--seeds", default=None)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--deep", action="store_true", help="with no witness below the horizon, scan once more, to 1e7")
     p.add_argument("--expect-witness", action="store_true")
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_coincide)
 
     num = sub.add_parser("num", help="prefix-automaton numeration").add_subparsers(
         dest="num_command", required=True
     )
-    p = num.add_parser("graph", help="the prefix automaton as JSON (or weight CSV)")
-    p.add_argument("spec")
+    p = command(num, "graph", plain, _cmd_num_graph, "the prefix automaton as JSON (or weight CSV)")
     p.add_argument("--weights", type=int, default=None, metavar="LEVELS")
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_num_graph)
 
-    p = num.add_parser("encode", help="integer -> path")
-    p.add_argument("spec")
+    p = command(num, "encode", formatted, _cmd_num_encode, "integer -> path")
     p.add_argument("--start", required=True)
     p.add_argument("value", type=int)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_num_encode)
 
-    p = num.add_parser("decode", help="path text -> integer")
-    p.add_argument("spec")
+    p = command(num, "decode", formatted, _cmd_num_decode, "path text -> integer")
     p.add_argument("path")
     p.add_argument("--max-realize", type=int, default=None)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_num_decode)
 
-    p = num.add_parser("list", help="first paths in increasing order")
-    p.add_argument("spec")
+    p = command(num, "list", formatted, _cmd_num_list, "first paths in increasing order")
     p.add_argument("--start", required=True)
     p.add_argument("--count", type=int, default=10)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_num_list)
 
-    p = num.add_parser("sync", help="synchronizing values between two seeds")
-    p.add_argument("spec")
+    p = command(num, "sync", plain, _cmd_num_sync, "synchronizing values between two seeds")
     p.add_argument("--starts", required=True)
     p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_num_sync)
 
     ipset = sub.add_parser("ipset", help="finite-sums witnesses").add_subparsers(
         dest="ipset_command", required=True
     )
-    p = ipset.add_parser("build", help="generators from a coincidence witness")
-    p.add_argument("spec")
+    p = command(ipset, "build", plain, _cmd_ipset_build, "generators from a coincidence witness")
     p.add_argument("--seeds", required=True)
     p.add_argument("--count", type=int, default=2)
     p.add_argument("--horizon", type=int, default=None)
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_ipset_build)
 
-    p = ipset.add_parser("verify", help="test subset sums against occurrences")
-    p.add_argument("spec")
+    p = command(ipset, "verify", formatted, _cmd_ipset_verify, "test subset sums against occurrences")
     p.add_argument("--seeds", default=None)
     p.add_argument("--generators", default=None)
     p.add_argument("--seed", default=None)
@@ -630,37 +534,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=None,
                    help="default: large enough to check every subset sum")
     p.add_argument("--expect-pass", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_ipset_verify)
 
-    p = ipset.add_parser("search", help="backtracking generator search")
-    p.add_argument("spec")
+    p = command(ipset, "search", plain, _cmd_ipset_search, "backtracking generator search")
     p.add_argument("--seed", required=True)
     p.add_argument("--factor", required=True)
     p.add_argument("--horizon", type=int, default=None)
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--expect-found", action="store_true")
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_ipset_search)
 
     st = sub.add_parser("strand", help="strand geometry").add_subparsers(
         dest="strand_command", required=True
     )
-    p = st.add_parser("scan", help="stable-norm envelopes under inflation")
-    p.add_argument("spec")
+    p = command(st, "scan", plain, _cmd_strand_scan, "stable-norm envelopes under inflation")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--seed-word", default=None)
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_strand_scan)
 
-    p = st.add_parser("export", help="CSV/SVG export of a stability scan")
-    p.add_argument("spec")
+    p = command(st, "export", plain, _cmd_strand_export, "CSV/SVG export of a stability scan")
     p.add_argument("--iterations", type=int, default=10)
     p.add_argument("--seed-word", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--svg", default=None)
-    _add_common(p, fmt=False)
-    p.set_defaults(handler=_cmd_strand_export)
 
     return parser
 
@@ -682,7 +575,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
-        code = args.handler(args)
+        code, payload, text = args.handler(args, _load_spec(args.spec).substitution)
+        _emit(args, payload, text)
         sys.stdout.flush()
         return code
     except SubstrandError as exc:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import InputError
-from .words import Substitution, Word, apply_substitution, seed_period
+from .words import Substitution, Word, apply_substitution, require_seed_period
 
 DEFAULT_REALIZE_CAP = 10**6
 
@@ -77,10 +77,10 @@ class PrefixGraph:
         return sum(lengths[i] for i in word.indices)
 
     def require_seed(self, vertex: str) -> None:
-        period = seed_period(self.substitution, vertex)
+        period = require_seed_period(self.substitution, vertex)
         if period != 1:
-            least = "it is not a seed of any period" if period is None else f"its least period is {period}"
-            raise InputError(f"{vertex!r} is not a period-1 seed of this substitution; {least}")
+            raise InputError(f"{vertex!r} is not a period-1 seed of this substitution; "
+                             f"its least period is {period}")
 
     def to_json_dict(self) -> dict:
         return {

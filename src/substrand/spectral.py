@@ -155,9 +155,13 @@ def _integer_roots(poly: IntPolynomial) -> tuple[list[int], IntPolynomial]:
     while current.degree > 0 and current.coeffs[0] == 0:
         roots.append(0)
         current = IntPolynomial(current.coeffs[1:])
-    # every quotient's roots divide this constant and are roots of every
-    # earlier quotient, so one pass in divisor order finds them all
-    for d in sorted(_divisors(abs(current.coeffs[0]))):
+    # a root divides this constant and lies within the root bound, and every
+    # quotient's roots are roots of every earlier quotient, so one pass over
+    # the divisors in increasing order finds them all
+    constant = current.coeffs[0]
+    for d in range(1, _root_bound(current.coeffs) + 1):
+        if constant % d:
+            continue
         for candidate in (d, -d):
             while current.degree > 0 and current(candidate) == 0:
                 roots.append(candidate)
@@ -165,8 +169,14 @@ def _integer_roots(poly: IntPolynomial) -> tuple[list[int], IntPolynomial]:
     return roots, current
 
 
-def _divisors(n: int) -> list[int]:
-    return [k for d in range(1, math.isqrt(n) + 1) if n % d == 0 for k in (d, n // d)]
+def _root_bound(coeffs: tuple[int, ...]) -> int:
+    """A power of 2 at least the modulus of every root of a monic polynomial:
+    Fujiwara's bound 2 max |a_(n-i)|^(1/i) over i = 1..n (which he tightens by
+    halving a_0), with each |a_(n-i)|^(1/i) rounded up to a power 2^e, the
+    least with 2^(e i) >= |a_(n-i)|."""
+    n = len(coeffs) - 1
+    exponents = [-(-(abs(coeffs[n - i]) - 1).bit_length() // i) for i in range(1, n + 1) if coeffs[n - i]]
+    return 2 ** (max(exponents, default=0) + 1)
 
 
 def _sturm_sequence(coeffs: tuple[int, ...]) -> list[list[int]]:

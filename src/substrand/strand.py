@@ -101,14 +101,16 @@ def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
 class InvariantSplitting:
     """Expanding line / contracting hyperplane splitting of the count matrix.
 
-    The right and left Perron vectors come from one inverse iteration each
-    (:func:`substrand.spectral.perron_data`); ``residual`` is the larger of
-    their residuals. ``projector_unstable`` projects onto the Perron line
-    along the span of the remaining (generalized) eigendirections,
-    ``projector_stable`` is its complement, and ``stable_basis`` holds an
-    orthonormal basis of its range for coordinate readouts: the Q factor of
-    its first n - 1 columns, with R's diagonal made positive. The readouts
-    take one vertex or a stack of vertices (one per row).
+    The right and left Perron vectors come from one inverse iteration each,
+    started at the classification's certified dominant root (as
+    :func:`substrand.spectral.perron_data` does from its own roots);
+    ``residual`` is the larger of their residuals. ``projector_unstable``
+    projects onto the Perron line along the span of the remaining
+    (generalized) eigendirections, ``projector_stable`` is its complement,
+    and ``stable_basis`` holds an orthonormal basis of its range for
+    coordinate readouts: the Q factor of its first n - 1 columns, with R's
+    diagonal made positive. The readouts take one vertex or a stack of
+    vertices (one per row).
     """
 
     dilation: float
@@ -157,9 +159,9 @@ def invariant_splitting(
             "invariant splitting needs an irreducible Pisot classification, got "
             f"pisot_type={report.pisot_type!r}, irreducible={report.irreducible!r}"
         )
-    dilation, right, res_r = spectral.perron_data(matrix)
-    transpose = [list(row) for row in zip(*matrix)]
-    _, left, res_l = spectral.perron_data(transpose)
+    dominant = report.root_bounds[0].real
+    dilation, right, res_r = spectral._perron_vector(matrix, dominant)
+    _, left, res_l = spectral._perron_vector([list(row) for row in zip(*matrix)], dominant)
     w = np.array(right)
     l = np.array(left)
     projector_u = np.outer(w, l) / float(l @ w)

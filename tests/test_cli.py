@@ -423,11 +423,16 @@ def test_num_stdout_is_byte_identical(capsys, tmp_path, name):
 def test_num_names_the_least_period_of_a_seed(capsys, tmp_path):
     spec = tmp_path / "tm.sub"
     spec.write_text("a -> ba\nb -> ab\nc -> c\n")
-    for start, reason in (("a", "its least period is 2"), ("c", "it is not a seed of any period")):
+    for start, message in (
+        ("a", "'a' is not a period-1 seed of this substitution; its least period is 2"),
+        # a letter that is no seed gets the message every command gives it
+        ("c", "'c' is not a periodic seed: no power of the substitution maps it to a longer word "
+              "that starts with it"),
+    ):
         assert main(["num", "list", str(spec), "--start", start]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {start!r} is not a period-1 seed of this substitution; {reason}\n"
+        assert captured.err == f"error: {message}\n"
 
 
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
@@ -543,6 +548,16 @@ def test_input_error_exit_codes(capsys, tmp_path):
     bad.write_text("a -> ax\n")
     assert main(["classify", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_an_unreadable_rule_file_is_reported_before_the_flags(capsys, tmp_path):
+    # main reads the rule file before any handler checks its own flags
+    missing = str(tmp_path / "missing.sub")
+    for argv in (["strand", "export", missing],
+                 ["expand", missing, "--seed", "a", "--length", str(MATERIALIZE_CAP + 1)],
+                 ["num", "graph", missing, "--weights", "-1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read spec file {missing!r}: ")
 
 
 def test_output_file_option(tmp_path, fib_spec):
@@ -707,7 +722,11 @@ def test_a_letter_that_is_not_a_seed_has_one_message(capsys, fib_spec):
     )
     for argv in (["expand", fib_spec, "--seed", "b", "--length", "5"],
                  ["coincide", fib_spec, "--seeds", "a,b"],
-                 ["ipset", "verify", fib_spec, "--generators", "2", "--seed", "b", "--factor", "a"]):
+                 ["ipset", "verify", fib_spec, "--generators", "2", "--seed", "b", "--factor", "a"],
+                 ["num", "list", fib_spec, "--start", "b"],
+                 ["num", "encode", fib_spec, "--start", "b", "3"],
+                 ["num", "sync", fib_spec, "--starts", "a,b", "--range", "0:5"],
+                 ["num", "sync", fib_spec, "--starts", "b,a", "--range", "0:5"]):
         assert main(argv) == 2
         assert capsys.readouterr().err == message
 
@@ -779,6 +798,69 @@ def test_format_flag_only_where_there_is_a_text_rendering(capsys, tmp_path, pair
         assert code in (0, 1)
         assert main([*argv, "--format", "text"]) == 2
         assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+REQUIRED = "<required>"
+_FORMATTED = {"--format": "json", "--output": None}
+_PLAIN = {"--output": None}
+CLI_SURFACE = {  # subcommand: (positionals, {option: default or REQUIRED})
+    "classify": (["spec"], {**_FORMATTED}),
+    "expand": (["spec"], {"--seed": REQUIRED, "--length": REQUIRED, **_FORMATTED}),
+    "occurrences": (["spec"], {"--seed": REQUIRED, "--factor": REQUIRED, "--horizon": None, **_FORMATTED}),
+    "gaps": (["spec"], {"--seed": REQUIRED, "--factor": REQUIRED, "--horizon": None, **_FORMATTED}),
+    "proximal": (["spec"], {"--seeds": REQUIRED, "--min-window": 4, "--horizon": None,
+                            "--expect-evidence": False, **_PLAIN}),
+    "coincide": (["spec"], {"--seeds": None, "--horizon": None, "--deep": False,
+                            "--expect-witness": False, **_PLAIN}),
+    "num graph": (["spec"], {"--weights": None, **_PLAIN}),
+    "num encode": (["spec", "value"], {"--start": REQUIRED, **_FORMATTED}),
+    "num decode": (["spec", "path"], {"--max-realize": None, **_FORMATTED}),
+    "num list": (["spec"], {"--start": REQUIRED, "--count": 10, **_FORMATTED}),
+    "num sync": (["spec"], {"--starts": REQUIRED, "--range": REQUIRED, **_PLAIN}),
+    "ipset build": (["spec"], {"--seeds": REQUIRED, "--count": 2, "--horizon": None, **_PLAIN}),
+    "ipset verify": (["spec"], {"--seeds": None, "--generators": None, "--seed": None, "--factor": None,
+                                "--count": None, "--max-subset-size": 3, "--horizon": None,
+                                "--expect-pass": False, **_FORMATTED}),
+    "ipset search": (["spec"], {"--seed": REQUIRED, "--factor": REQUIRED, "--horizon": None, "--depth": 3,
+                                "--expect-found": False, **_PLAIN}),
+    "strand scan": (["spec"], {"--iterations": 10, "--seed-word": None, **_PLAIN}),
+    "strand export": (["spec"], {"--iterations": 10, "--seed-word": None, "--csv": None, "--svg": None, **_PLAIN}),
+}
+
+
+def _subcommand_parsers(parser, prefix=()):
+    for action in parser._actions:
+        if action.choices and isinstance(action.choices, dict):  # a subparsers action
+            for name, child in action.choices.items():
+                yield from _subcommand_parsers(child, (*prefix, name))
+            return
+    yield " ".join(prefix), parser
+
+
+def test_cli_surface_is_the_table():
+    found = {}
+    for name, parser in _subcommand_parsers(cli._build_parser()):
+        actions = [a for a in parser._actions if a.dest != "help"]
+        found[name] = ([a.dest for a in actions if not a.option_strings],
+                       {a.option_strings[0]: REQUIRED if a.required else a.default
+                        for a in actions if a.option_strings})
+        assert all(len(a.option_strings) <= 1 for a in actions), name
+    assert found == CLI_SURFACE
+    assert set(FORMAT_ARGS) == set(CLI_SURFACE)
+    assert {c for c, (_, options) in CLI_SURFACE.items() if "--format" in options} == set(TEXT_RENDERED)
+
+
+@pytest.mark.parametrize("command, extra", [*((c, []) for c in FORMAT_ARGS), ("num graph", ["--weights", "2"])])
+def test_output_file_gets_the_bytes_of_stdout(capsys, tmp_path, pair_spec, command, extra):
+    argv = [*command.split(), pair_spec, *(a.format(tmp=tmp_path) for a in FORMAT_ARGS[command]), *extra]
+    out = tmp_path / "out.txt"
+    for fmt in (["--format", "json"], ["--format", "text"]) if command in TEXT_RENDERED else ([],):
+        code = main([*argv, *fmt])
+        stdout = capsys.readouterr().out
+        assert stdout.endswith("\n")
+        assert main([*argv, *fmt, "--output", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout.encode(), fmt
 
 
 def test_ipset_verify_rejects_negative_generators(capsys, pair_spec):

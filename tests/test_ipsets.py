@@ -142,7 +142,7 @@ def test_verify_rejects_bad_input(fibonacci):
         verify_finite_sums(family, graph, "a", "ab", 1, 1)
     with pytest.raises(InputError, match="max_subset_size must be >= 1"):
         verify_finite_sums(family, graph, "a", "a", 10, 0)
-    with pytest.raises(InputError, match="not a period-1 seed"):
+    with pytest.raises(InputError, match="not a periodic seed"):
         verify_finite_sums(family, graph, "b", "a", 10, 1)
     with pytest.raises(InputError, match="generators must be >= 0"):
         FsFamily((-3, 5), SEARCHED)

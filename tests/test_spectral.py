@@ -218,6 +218,45 @@ def test_irreducibility_matches_sympy_on_factor_products(poly):
         assert is_irreducible(poly) is expected
 
 
+def test_classify_with_a_large_determinant_finishes():
+    # M = 1000 I + a 6-cycle: (x - 1000)^6 - 1 has the constant term 10^18 - 1,
+    # whose divisors up to 10^9 a trial division would visit
+    sub = Substitution({a: a * 1000 + b for a, b in zip("abcdef", "bcdefa")})
+    with _time_limit(1.0):
+        report = classify(sub)
+    assert report.char_poly.coeffs[0] == 10**18 - 1
+    assert [(b.real, b.imag) for b in report.root_bounds if b.exact] == [(1001.0, 0.0), (999.0, 0.0)]
+    assert (report.dilation, report.dilation_error) == (1001.0, 0.0)
+    assert report.pisot_type == PISOT_NO and report.irreducible is False
+
+
+@st.composite
+def _polys_with_integer_roots(draw):
+    """(integer roots, monic cofactor): up to 5 roots within +-5000, and a
+    cofactor of degree d <= 5 with coefficients within +-50 but a constant
+    term within +-10^(2d), so that constant terms reach past 10^25 while the
+    roots stay moderate."""
+    roots = draw(st.lists(st.integers(-5000, 5000), max_size=5))
+    degree = draw(st.integers(0, 5))
+    middle = draw(st.lists(st.integers(-50, 50), min_size=max(degree - 1, 0), max_size=max(degree - 1, 0)))
+    constant = [draw(st.integers(-(10 ** (2 * degree)), 10 ** (2 * degree)))] if degree else []
+    return roots, IntPolynomial((*constant, *middle, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys_with_integer_roots())
+def test_integer_roots_match_sympy(drawn):
+    roots, cofactor = drawn
+    poly = _times(cofactor.coeffs, *((-r, 1) for r in roots))
+    x = sympy.Symbol("x")
+    expected = sympy.roots(sympy.Poly(list(reversed(poly.coeffs)), x), filter="Q")
+    with _time_limit(2.0):
+        found, quotient = spectral._integer_roots(poly)
+    assert Counter(found) == Counter({int(r): m for r, m in expected.items()})
+    assert _times(quotient.coeffs, *((-r, 1) for r in found)) == poly
+    assert all(abs(r) <= spectral._root_bound(poly.coeffs) for r in found)
+
+
 def test_classify_fibonacci(fibonacci):
     report = classify(fibonacci)
     assert report.primitive and report.primitivity_exponent == 2

@@ -21,6 +21,7 @@ from substrand import (
     classify,
     invariant_splitting,
     max_stable_delta_norm,
+    perron_data,
     stability_scan,
     substitute_strand,
     write_scan_csv,
@@ -198,6 +199,20 @@ def test_stable_basis_properties(fibonacci, tribonacci, aab_ba):
 @given(sub=_pisot_substitutions())
 def test_stable_basis_properties_random(sub):
     _check_stable_basis(sub)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(sub=_pisot_substitutions())
+def test_splitting_reuses_the_classified_root(sub):
+    # the iterations start at the certified dominant root of the report, and
+    # give exactly what perron_data gives from its own roots, on M and on M^T
+    matrix = abelianization_matrix(sub)
+    sp = _splitting(sub)
+    dilation, right, res_r = perron_data(matrix)
+    _, left, res_l = perron_data([list(row) for row in zip(*matrix)])
+    assert sp.dilation == dilation and tuple(sp.expanding_direction) == right
+    assert sp.residual == max(res_r, res_l)
+    assert np.array_equal(sp.projector_unstable, np.outer(right, left) / float(np.array(left) @ right))
 
 
 def test_splitting_dimensions(tribonacci):
