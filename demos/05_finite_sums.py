@@ -48,7 +48,7 @@ def main():
     fib = Substitution({"a": "ab", "b": "a"})
     fx = FixedPointStream(fib, "a")
     occ_a = occurrences(fx, "a", 20)
-    print("Fibonacci occurrences of 'a' below 20:", tuple(occ_a.positions.tolist()))
+    print("Fibonacci occurrences of 'a' below 20:", tuple(occ_a.positions))
     found = search_ip_witness(occ_a, 3)
     print("searched depth-3 family:", found.generators)
     sums = sorted(

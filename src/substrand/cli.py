@@ -29,8 +29,9 @@ the first of the doubled horizons horizon * 2**j (capped) that reaches the
 least witness, or the cap when there is none. Decided pairs are answered by
 descent; only Indeterminate pairs scan: the balanced-pair closure (Sirvent &
 Solomyak, Canad. Math. Bull. 45, 2002) gives the full scan's output with no
-stream read and no numpy loaded. A scan's streams grow with it, so a witness
-found early also stops the expansion early.
+stream read. A scan's streams grow with it, so a witness found early also
+stops the expansion early. numpy loads only for that scan, stable norms and
+strands: streams and the occurrence and agreement scans run without it.
 
 ``expand --length``, ``num decode --max-realize`` and the horizon of
 ``occurrences``, ``gaps``, ``proximal`` and ``ipset search`` (from the flag or

@@ -208,17 +208,11 @@ def validate_witness(
     """Re-derive every witness requirement from the streams themselves."""
     _check_pair(x, y)
     k = witness.index
-    if k < 1 or len(witness.prefix_x) != k or len(witness.prefix_y) != k:
-        return False
-    if witness.prefix_x != x.expand(k) or witness.prefix_y != y.expand(k):
+    if k < 1 or (witness.prefix_x, witness.prefix_y) != (x.expand(k), y.expand(k)):
         return False
     if abelianize(witness.prefix_x) != abelianize(witness.prefix_y):
         return False
-    xk = x.prefix_indices(k + 1)[k]
-    yk = y.prefix_indices(k + 1)[k]
-    if xk != yk:
-        return False
-    return x.alphabet.letters[xk] == witness.letter
+    return x.prefix_text(k + 1)[k] == y.prefix_text(k + 1)[k] == witness.letter
 
 
 def delta_value_set(

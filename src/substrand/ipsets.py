@@ -16,7 +16,6 @@ occurrence set by backtracking over subset sums.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING
@@ -239,11 +238,11 @@ def search_ip_witness(occ: OccurrenceSet, depth: int) -> FsFamily | None:
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
-    candidates = occ.positions[occ.positions.searchsorted(1):].tolist()  # sorted: a view
+    hits = occ.hits
+    candidates = [p for p in occ.positions if p]
 
     def occurs(total: int) -> bool:
-        i = bisect_left(candidates, total)
-        return i < len(candidates) and candidates[i] == total
+        return total < len(hits) and hits[total] == 1
 
     def extend(chosen: list[int], sums: set[int], next_index: int):
         if len(chosen) == depth:

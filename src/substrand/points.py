@@ -3,14 +3,18 @@
 Everything here is horizon-bounded: occurrence sets are exact below their
 horizon, and the proximality verdict is deliberately evidence-flavoured
 (EvidenceFor / NoneFound), since no finite scan can prove that two infinite
-words agree on arbitrarily long windows.
+words agree on arbitrarily long windows. Both scans run on the standard
+library: one kernel, :func:`_zero_letters`, turns blocks of letters compared
+as big integers into 1 byte per position, whose runs ``bytes.find`` measures.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from itertools import compress
+from operator import and_
 
 from .errors import InputError
 from .words import FixedPointStream, Word
@@ -18,61 +22,86 @@ from .words import FixedPointStream, Word
 EVIDENCE_FOR = "EvidenceFor"
 NONE_FOUND = "NoneFound"
 
-_BLOCK_CELLS = 1 << 16  # candidate starts per block of the occurrence scan: bounds memory
+_BLOCK_CELLS = 1 << 16  # letters per block of the agreement and occurrence scans: bounds memory
+_ZERO_TO_ONE = bytes([1]) + bytes(255)  # translation table: a zero byte becomes 1, any other 0
+
+
+def _zero_letters(diff: int, letters: int, width: int) -> bytes:
+    """1 byte per letter of ``diff``, ``letters`` letters of ``width`` bytes
+    read as a little-endian int (say x XOR y): 1 where all bytes of the letter
+    are zero (x and y agree there). Each byte is translated, then the lanes
+    are ANDed."""
+    zero = diff.to_bytes(letters * width, "little").translate(_ZERO_TO_ONE)
+    lanes = (int.from_bytes(zero[lane::width], "little") for lane in range(width))
+    return reduce(and_, lanes).to_bytes(letters, "little")
+
+
+def _longest_run(mask: bytearray, byte: int, start: int, end: int) -> int:
+    """The longest run of ``byte`` in mask[start:end], a mask of 0 and 1 bytes:
+    each find jumps to the next run longer than the longest so far, so the
+    finds read the mask once."""
+    longest = 0
+    while (start := mask.find(bytes([byte]) * (longest + 1), start, end)) >= 0:
+        stop = mask.find(1 - byte, start, end)
+        start, longest = (end, end - start) if stop < 0 else (stop, stop - start)
+    return longest
 
 
 @dataclass(frozen=True, eq=False)
 class OccurrenceSet:
     """Positions below the horizon where the factor occurs in the stream's word.
 
-    ``positions`` is a read-only int64 array (Python ints only when printed),
-    strictly increasing, and every occurrence fits entirely below the horizon
-    (p + |factor| <= horizon).
+    ``hits`` holds 1 byte per candidate start p, 1 where the factor occurs at
+    p (do not modify); every occurrence fits entirely below the horizon
+    (p + |factor| <= horizon). ``positions`` lists them, strictly increasing.
     """
 
     factor: Word
     horizon: int
-    positions: np.ndarray
+    hits: bytearray
+
+    @property
+    def positions(self) -> list[int]:
+        return list(compress(range(len(self.hits)), self.hits))
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return self.hits.count(1)
 
     def to_json_dict(self) -> dict:
-        return {
-            "factor": str(self.factor),
-            "horizon": self.horizon,
-            "positions": self.positions.tolist(),
-        }
+        return {"factor": str(self.factor), "horizon": self.horizon, "positions": self.positions}
 
     def to_text(self) -> str:
         """One position per line (pipe-friendly)."""
-        return "\n".join(map(str, self.positions.tolist()))
+        return "\n".join(map(str, self.positions))
 
 
 def occurrences(stream: FixedPointStream, factor: Word | str, horizon: int) -> OccurrenceSet:
     """All occurrence positions of the factor below the horizon.
 
-    Candidates are the positions of the factor's first letter, found a block
-    at a time and narrowed letter by letter, so a long factor costs little
-    more than its first letter; the blocks' positions are joined once.
+    A block of candidate starts at a time, read once as an int, the letters
+    at offset i (the int shifted by i letters) are XORed with the factor's
+    letter i: the factor occurs where the OR of these differences is zero,
+    the AND of the letters' agreement masks.
     """
     factor = stream.alphabet.word(factor)
     if len(factor) == 0:
         raise InputError("factor must be nonempty")
     if horizon < len(factor):
         raise InputError("horizon must be at least the factor length")
-    letters = stream.prefix_indices(horizon)
+    letters = stream.prefix_view(horizon)
     starts = horizon - len(factor) + 1  # occurrences start below this
-    first, rest = factor.indices[0], factor.indices[1:]
-    blocks = []
-    for j in range(0, starts, _BLOCK_CELLS):
-        found = np.flatnonzero(letters[j:min(j + _BLOCK_CELLS, starts)] == first) + j
-        for i, a in enumerate(rest, 1):
-            found = found[letters[found + i] == a]
-        blocks.append(found)
-    positions = np.concatenate(blocks).astype(np.int64, copy=False)
-    positions.flags.writeable = False
-    return OccurrenceSet(factor, horizon, positions)
+    cells, width = min(_BLOCK_CELLS, starts), letters.itemsize
+    ones = int.from_bytes(array(letters.format, [1]) * cells, "little")  # letter a, cells times: a * ones
+    hits = bytearray(starts)
+    for j in range(0, starts, cells):
+        count = min(cells, starts - j)
+        run = ones >> 8 * width * (cells - count)
+        block, diff = int.from_bytes(letters[j:j + count + len(factor) - 1], "little"), 0
+        for i, a in enumerate(factor.indices):
+            diff |= (block >> 8 * width * i) ^ a * run
+        low = (1 << 8 * width * count) - 1  # the bits of the block's letters
+        hits[j:j + count] = _zero_letters(diff & low, count, width)
+    return OccurrenceSet(factor, horizon, hits)
 
 
 def max_return_gap(occ: OccurrenceSet) -> int | None:
@@ -82,10 +111,11 @@ def max_return_gap(occ: OccurrenceSet) -> int | None:
     stabilizes while the horizon grows is desk-scale evidence of bounded
     gaps (uniform recurrence).
     """
-    pos = occ.positions
-    if len(pos) < 2:
+    hits = occ.hits
+    first, last = hits.find(1), hits.rfind(1)
+    if first == last:
         return None
-    return int(max(pos[0], np.diff(pos).max()))
+    return max(first, _longest_run(hits, 0, first + 1, last) + 1)
 
 
 @dataclass(frozen=True)
@@ -128,16 +158,22 @@ def proximality_scan(
         raise InputError("min_window must be >= 1")
     if horizon < min_window:
         raise InputError("horizon must be >= min_window")
-    agree = x.prefix_indices(horizon) == y.prefix_indices(horizon)
-    # maximal runs of agreement start and end where the padded mask flips
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], agree, [False]))))
-    starts, ends = edges[0::2], edges[1::2]
-    lengths = ends - starts
-    long = lengths >= min_window
-    windows = tuple(zip(starts[long].tolist(), lengths[long].tolist()))
-
+    xs, ys = x.prefix_view(horizon), y.prefix_view(horizon)
+    agree = bytearray(horizon)  # 1 byte per position: 1 where x and y agree
+    for j in range(0, horizon, _BLOCK_CELLS):
+        block = slice(j, min(j + _BLOCK_CELLS, horizon))
+        diff = int.from_bytes(xs[block], "little") ^ int.from_bytes(ys[block], "little")
+        agree[block] = _zero_letters(diff, block.stop - j, xs.itemsize)
+    windows, start, run = [], 0, b"\x01" * min_window
+    while (start := agree.find(run, start)) >= 0:  # a maximal run: the byte before it is 0
+        end = agree.find(0, start + min_window)
+        end = horizon if end < 0 else end
+        windows.append((start, end - start))
+        start = end
+    # the longest run below h: the longest window clipped at h, unless the runs there are shorter
     probes = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
-    best = {h: int((np.minimum(ends, h) - starts)[starts < h].max(initial=0)) for h in probes}
+    best = {h: max((min(s + n, h) - s for s, n in windows if s < h), default=0) for h in probes}
+    best = {h: m if m >= min_window else _longest_run(agree, 1, 0, h) for h, m in best.items()}
     full, half = best[horizon], best[max(1, horizon // 2)]
     verdict = EVIDENCE_FOR if (full >= min_window and full > half) else NONE_FOUND
-    return ProximalityEvidence(windows, horizon, min_window, tuple(best.items()), verdict)
+    return ProximalityEvidence(tuple(windows), horizon, min_window, tuple(best.items()), verdict)

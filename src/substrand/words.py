@@ -2,10 +2,11 @@
 
 Letters are single characters; internally words are stored as tuples of
 letter indices so that count vectors and matrices share one canonical
-ordering. A fixed point's prefix is a numpy array of those indices, one
+ordering. A fixed point's prefix holds those indices in a ``bytearray``, one
 byte per letter up to 256 letters, which the scans in :mod:`substrand.points`
-and :mod:`substrand.coincidence` read; numpy loads when a stream is first
-read, so the rest of the module runs without it. Rule files use the text format parsed
+read as bytes; numpy loads only when a numpy view is asked for
+(:meth:`FixedPointStream.prefix_indices`, which the prefix-difference scans of
+:mod:`substrand.coincidence` read). Rule files use the text format parsed
 by :func:`parse_substitution_spec`::
 
     # Fibonacci
@@ -16,7 +17,10 @@ by :func:`parse_substitution_spec`::
 from __future__ import annotations
 
 import re
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InputError
@@ -24,9 +28,11 @@ from .errors import InputError
 if TYPE_CHECKING:
     import numpy as np
 
-# Letters written per round of the expansion (plus the rest of one image):
-# bounds its int64 temporaries to a few MB whatever the prefix length.
+# Letters written per round of the expansion: bounds its temporaries to a few
+# MB whatever the prefix length.
 _BLOCK_CELLS = 1 << 18
+# Letters of the image table: long images, each written by one lookup, in a small table.
+_TABLE_LETTERS = 1 << 16
 
 
 class Alphabet:
@@ -310,86 +316,104 @@ class FixedPointStream:
 
     The working substitution is ``substitution ** period``, where ``period``
     is the seed's least period (:func:`seed_period`); every multiple of it
-    spells the same point. The buffer, an array of dtype
-    ``np.min_scalar_type(len(alphabet) - 1)``, is the image of its own first
-    ``expanded`` letters, and it only grows by appending the images of the
-    next letters, so each letter is written once (linear in the prefix
-    length for every growth type); a round writes up to ``_BLOCK_CELLS`` letters,
-    plus the rest of one image, from about as many source letters as needed.
+    spells the same point, and the stream writes with tau = working ** K, K
+    the largest power of 2 whose table of the images of the point's letters
+    (built by squaring) holds at most ``_TABLE_LETTERS`` letters, so that
+    each lookup writes many. The
+    buffer holds 1 byte per letter (2 above 256 letters, 4 above 65536) and
+    stops at the longest request; with the unwritten rest of the last image,
+    it is the tau image of its own first ``expanded`` letters, so each letter
+    is written once (linear in the prefix length for every growth type).
     """
 
     def __init__(self, substitution: Substitution, seed: str):
         self.substitution = substitution
         self.seed = seed
         self.period = require_seed_period(substitution, seed)
-        # the first _ensure builds the arrays: a stream never read loads no numpy
-        self._buf, self._expanded = (), 0
+        # the first _ensure builds the table: a stream never read writes no image
+        self._store, self._filled, self._expanded = memoryview(b""), 0, 0
 
     def _start(self) -> None:
-        import numpy as np
-
-        substitution = self.substitution
-        seed_index = substitution.alphabet.index(self.seed)
-        dtype = np.min_scalar_type(len(substitution.alphabet) - 1)
-        images = substitution.power(self.period)._images
-        self._image_letters = np.array([i for im in images for i in im], dtype=dtype)
-        self._image_lengths = np.array([len(im) for im in images], dtype=np.intp)
-        self._image_starts = np.cumsum(self._image_lengths) - self._image_lengths
-        # invariant: _buf == working(_buf[:_expanded]); _buf is the filled view of _store
-        self._store = np.array(images[seed_index], dtype=dtype)
-        self._buf, self._expanded = self._store, 1
+        substitution, period = self.substitution, self.period
+        n = len(substitution.alphabet)
+        code = "B" if n <= 1 << 8 else "H" if n <= 1 << 16 else "I"
+        images, seed = substitution.power(period)._images, substitution.alphabet.index(self.seed)
+        reached, todo = {seed}, [seed]  # the letters of the point: only their images are looked up
+        for a in todo:
+            todo += set(images[a]) - reached
+            reached.update(images[a])
+        table = [array(code, image).tobytes() if a in reached else b"" for a, image in enumerate(images)]
+        lengths = substitution.image_lengths(period)
+        while True:  # the seed's image grows with each squaring, so the table outgrows any bound
+            # tau^(2j)(a) is the tau^j images of the letters of tau^j(a): count them before building them
+            squares = [sum(map(lengths.__getitem__, memoryview(image).cast(code))) for image in table]
+            if sum(squares) > _TABLE_LETTERS:
+                break
+            table = [b"".join(map(table.__getitem__, memoryview(image).cast(code))) for image in table]
+            lengths = squares
+        self._table, self._lengths = table, lengths
+        # invariant: _store[:_filled] + _tail == tau(_store[:_expanded]); _store has spare room
+        self._store = memoryview(bytearray()).cast(code)
+        self._tail = memoryview(table[seed]).cast(code)
+        self._expanded = 1
 
     @property
     def alphabet(self) -> Alphabet:
         return self.substitution.alphabet
 
     def _ensure(self, length: int) -> None:
-        import numpy as np
-
         if not self._expanded:
             self._start()
-        while len(self._buf) < length:
-            filled, start = len(self._buf), self._expanded
-            want = min(length - filled, _BLOCK_CELLS)
-            # _buf is the image of its first start letters: filled / start is the mean image length
-            block = self._buf[start:start + max(1, want * start // filled)]
-            lengths = self._image_lengths[block]
-            ends = np.cumsum(lengths)
-            used = int(np.searchsorted(ends, want)) + 1
-            block, lengths, ends = block[:used], lengths[:used], ends[:used]
-            end = filled + int(ends[-1])
-            if end > len(self._store):  # room for the whole request, and at least double
-                store = np.empty(max(2 * len(self._store), length + int(self._image_lengths.max())),
-                                 dtype=self._store.dtype)
-                store[:filled] = self._buf
-                self._store = store
-            # output position p in the image of block[j] reads image_starts[block[j]] + p - ends[j] + lengths[j]
-            gather = np.repeat(self._image_starts[block] - ends + lengths, lengths)
-            gather += np.arange(len(gather))
-            self._store[filled:end] = self._image_letters[gather]
-            self._buf, self._expanded = self._store[:end], start + len(block)
+        store, filled = self._store, self._filled
+        if length > len(store):  # room for the whole request, and at least double, in a new store:
+            # numpy views of the old one pin its size
+            self._store = memoryview(bytearray(max(2 * len(store), length) * store.itemsize)).cast(store.format)
+            self._store[:filled] = store[:filled]
+        while self._filled < length:
+            self._round(min(length - self._filled, _BLOCK_CELLS))
+
+    def _round(self, count: int) -> None:
+        """Write up to ``count`` letters: the rest of the last image, or else the
+        images of the next letters, up to the first that reaches ``count``."""
+        filled, expanded = self._filled, self._expanded
+        if not self._tail:
+            # the buffer is the image of its first expanded letters, filled / expanded letters each on
+            # average: read about twice the letters that count needs, then cut at the first image that
+            # reaches count
+            source = self._store[expanded:min(filled, expanded + 2 * count * expanded // filled + 1)]
+            ends = list(accumulate(map(self._lengths.__getitem__, source)))
+            used = min(bisect_left(ends, count) + 1, len(ends))
+            self._tail = memoryview(b"".join(map(self._table.__getitem__, source[:used]))).cast(source.format)
+            self._expanded = expanded + used
+        count = min(count, len(self._tail))
+        self._store[filled:filled + count] = self._tail[:count]
+        self._tail = self._tail[count:]
+        self._filled = filled + count
 
     def expand(self, length: int) -> Word:
         """The prefix of the periodic point of the given length (idempotent)."""
+        return Word(self.alphabet, self.prefix_view(length).tolist())
+
+    def prefix_view(self, length: int) -> memoryview:
+        """Prefix as a read-only memoryview of letter indices, format ``B``
+        (``H`` above 256 letters, ``I`` above 65536): a view of the buffer."""
         if length < 0:
             raise InputError("length must be >= 0")
         self._ensure(length)
-        return Word(self.alphabet, self._buf[:length].tolist())
+        return self._store[:length].toreadonly()
 
     def prefix_indices(self, length: int) -> np.ndarray:
-        """Prefix as a read-only array of letter indices (a view of the buffer)."""
-        if length < 0:
-            raise InputError("length must be >= 0")
-        self._ensure(length)
-        prefix = self._buf[:length]
-        prefix.flags.writeable = False
-        return prefix
-
-    def prefix_text(self, length: int) -> str:
+        """Prefix as a read-only numpy array of letter indices (a view of the buffer)."""
         import numpy as np
 
-        codes = np.array([ord(a) for a in self.alphabet.letters], dtype="<u4")
-        return codes[self.prefix_indices(length)].tobytes().decode("utf-32-le", "surrogatepass")
+        view = self.prefix_view(length)
+        return np.frombuffer(view, dtype=view.format)
+
+    def prefix_text(self, length: int) -> str:
+        view, letters = self.prefix_view(length), self.alphabet.letters
+        if view.itemsize == 1:  # index i decodes to chr(i), which translates to letter i
+            return view.tobytes().decode("latin-1").translate(letters)
+        return "".join(map(letters.__getitem__, view))
 
     def __repr__(self) -> str:
         return f"FixedPointStream(seed={self.seed!r}, period={self.period})"

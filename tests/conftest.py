@@ -57,38 +57,43 @@ def oracle_prefix(sub, seed, length, period=1):
     return str(word)[:length]
 
 
-class _CountingImages(np.ndarray):
-    """A stream's table of image letters that adds the size of every gather
-    from it to the stream's count, and keeps the largest one."""
+class _CountingTable(list):
+    """A stream's table of images that adds the letters of every image looked
+    up in it to the stream's count."""
 
-    def __getitem__(self, item):
-        out = super().__getitem__(item)
-        self.counts[self.stream] += np.size(out)
-        self.largest[self.stream] = max(self.largest.get(self.stream, 0), np.size(out))
-        return out
+    def __getitem__(self, letter):
+        image = super().__getitem__(letter)
+        self.counts[self.stream] += len(image) // self.width
+        return image
 
 
 def spy_letters_written(monkeypatch, largest=None):
-    """Patch ``FixedPointStream._ensure`` to count the letters each stream
-    writes: the image of the seed it starts from, then every letter gathered
-    from its image table. Returns the counts, keyed by stream; a stream that
-    writes each letter once has written exactly its buffer. A ``largest``
-    dict receives each stream's largest single gather: the letters of its
-    largest expansion round."""
+    """Patch ``FixedPointStream`` to count the letters each stream joins from
+    its image table: the image of the seed it starts from, then every image
+    looked up. Returns the counts, keyed by stream; a stream that joins each
+    letter once has joined exactly its buffer and the unwritten rest of its
+    last image. A ``largest`` dict receives each stream's largest round: the
+    most letters one call of ``_round`` wrote to the buffer."""
     counts = {}
     largest = {} if largest is None else largest
-    ensure = FixedPointStream._ensure
+    ensure, write_round = FixedPointStream._ensure, FixedPointStream._round
 
-    def spy(self, length):
+    def spy_ensure(self, length):
         if self not in counts:
-            ensure(self, 0)  # the arrays, with the seed's image
-            counts[self] = len(self._buf)
-            images = self._image_letters.view(_CountingImages)
-            images.counts, images.largest, images.stream = counts, largest, self
-            self._image_letters = images
+            ensure(self, 0)  # the table, and the seed's image as the unwritten rest
+            counts[self] = self._filled + len(self._tail)
+            table = _CountingTable(self._table)
+            table.counts, table.stream, table.width = counts, self, self._store.itemsize
+            self._table = table
         return ensure(self, length)
 
-    monkeypatch.setattr(FixedPointStream, "_ensure", spy)
+    def spy_round(self, count):
+        filled = self._filled
+        write_round(self, count)
+        largest[self] = max(largest.get(self, 0), self._filled - filled)
+
+    monkeypatch.setattr(FixedPointStream, "_ensure", spy_ensure)
+    monkeypatch.setattr(FixedPointStream, "_round", spy_round)
     return counts
 
 
@@ -238,6 +243,29 @@ def oracle_longest_below(runs, h):
         if s < h:
             best = max(best, min(s + l, h) - s)
     return best
+
+
+def oracle_proximality(xs, ys, min_window, horizon):
+    """(windows, max_length_per_horizon, verdict) of a proximality scan, one
+    letter at a time: ``run`` is the length of the run of agreement that ends
+    just before k, a window is a run of at least ``min_window`` that a
+    disagreement or the horizon ends, and the longest run below a probe h is
+    the largest ``run`` seen before k reaches h."""
+    probes = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
+    windows, best, run, longest = [], [], 0, 0
+    for k in range(horizon + 1):
+        if k in probes:
+            best.append((k, longest))
+        if k < horizon and xs[k] == ys[k]:
+            run += 1
+            longest = max(longest, run)
+            continue
+        if run >= min_window:
+            windows.append((k - run, run))
+        run = 0
+    full, half = dict(best)[horizon], dict(best)[max(1, horizon // 2)]
+    verdict = "EvidenceFor" if full >= min_window and full > half else "NoneFound"
+    return tuple(windows), tuple(best), verdict
 
 
 def oracle_occurrences(text, needle):

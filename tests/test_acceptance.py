@@ -5,8 +5,12 @@ runtime budgets are asserted where a criterion carries one.
 """
 
 import functools
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,34 @@ def test_criterion_8_power_invariance():
         for m in (2, 3):
             rep = classify(sub.power(m))
             assert (rep.primitive, rep.irreducible, rep.pisot_type, rep.irreducible_pisot) == base_key
+
+
+# Runs the CLI and prints its exit code and VmHWM, the peak RSS of this
+# process since its exec: a child's ru_maxrss also counts the parent's pages
+# it was forked with, and the test runner's RSS is past 100 MB.
+_PEAK_RSS_PROBE = (
+    "import runpy, sys\n"
+    "sys.argv = ['substrand', *sys.argv[1:]]\n"
+    "try:\n"
+    "    runpy.run_module('substrand', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "with open('/proc/self/status') as status:\n"
+    "    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+    "print(code, peak, file=sys.stderr)\n"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_gaps_at_the_materialization_cap_stays_under_80_mb(tmp_path):
+    # the prefix and the occurrence mask hold 1 byte per position: 10^7 letters
+    # take tens of MB, where int64 positions took 115 MB of peak RSS
+    spec = tmp_path / "uniform.sub"
+    spec.write_text("".join(f"{a} -> {image}\n" for a, image in UNIFORM_PAIR.items()))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ["gaps", str(spec), "--seed", "a", "--factor", "b", "--horizon", "10000000"]
+    result = subprocess.run([sys.executable, "-c", _PEAK_RSS_PROBE, *argv],
+                            capture_output=True, text=True, env=env, check=True)
+    code, peak_kb = map(int, result.stderr.split()[-2:])
+    assert code == 0 and '"max_return_gap"' in result.stdout
+    assert peak_kb < 80 * 1024, f"peak RSS {peak_kb / 1024:.1f} MB exceeds the 80 MB budget"

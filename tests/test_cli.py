@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -315,8 +316,35 @@ def test_coincide_on_polynomial_growth_writes_each_letter_once(capsys, monkeypat
     written = spy_letters_written(monkeypatch)
     code, payload = _run_json(capsys, ["coincide", str(p), "--seeds", "a,b", "--horizon", str(horizon)])
     assert code == 0 and payload["pairs"] == [expected]
-    # at most one image of sigma (2 letters) past the horizon
-    assert len(written) == 2 and all(horizon <= count <= horizon + 2 for count in written.values())
+    # the buffers stop at the horizon; past them, only the unwritten rest of one image is held
+    assert len(written) == 2
+    assert all(s._filled == horizon and count == horizon + len(s._tail) <= horizon + max(s._lengths)
+               for s, count in written.items())
+
+
+def test_coincide_on_polynomial_growth_at_the_default_horizon_takes_seconds(tmp_path):
+    # the pair has no cut, so the scan reads 10^5 letters of each point; a
+    # stream that wrote one letter per round took about 3 s here
+    p = tmp_path / "poly.sub"
+    p.write_text("a -> ac\nb -> bc\nc -> c\n")
+    sub = parse_substitution_spec(p.read_text()).substitution
+    horizon = cli.DEFAULT_HORIZON
+    xs, ys = ([seed] + [2] * (horizon - 1) for seed in (0, 1))  # sigma^m(a) = a c^m
+    for seed, letters in zip("ab", (xs, ys)):
+        assert oracle_prefix(sub, seed, 300) == "".join("abc"[i] for i in letters[:300])
+    witness, first_seen = oracle_scan(xs, ys, horizon, 3, stop_at_witness=False)
+    assert witness is None
+    expected = {"seeds": ["a", "b"], "period": 1, "horizon": horizon, "witness": None,
+                "delta_values": sorted(map(list, first_seen)),
+                "stabilized": max(first_seen.values()) < horizon // 2}
+    env = {k: v for k, v in os.environ.items() if k != "SUBSTRAND_HORIZON"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "substrand", "coincide", str(p), "--seeds", "a,b"],
+                            capture_output=True, text=True, env=env, check=True)
+    elapsed = time.perf_counter() - start
+    assert json.loads(result.stdout)["pairs"] == [expected]
+    assert elapsed < 2.0, f"coincide took {elapsed:.2f} s"
 
 
 def test_coincide_deep_falls_back_to_the_scan_when_the_closure_is_indeterminate(capsys, tmp_path):
@@ -681,7 +709,8 @@ def test_ipset_verify_scans_for_the_witness_below_the_cap(capsys, monkeypatch, u
     argv = ["ipset", "verify", uniform_spec, "--seeds", "a,b", "--horizon", "10000000000000"]
     code, payload = _run_json(capsys, argv)
     assert code == 1 and payload == {"witness": None, "verdict": "no-witness"}
-    assert len(written) == 2 and all(5000 - 1 <= count < 5000 + 3 for count in written.values())
+    assert len(written) == 2
+    assert all(5000 - 1 <= s._filled <= 5000 and count == s._filled + len(s._tail) for s, count in written.items())
     # the automaton check of the sums keeps the uncapped horizon
     argv = ["ipset", "verify", pair_spec, "--seeds", "a,b", "--horizon", "10000000000000", "--expect-pass"]
     code, payload = _run_json(capsys, argv)
@@ -967,7 +996,7 @@ def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spe
     code, loaded = _modules_after(["classify", fib_spec])
     assert code == 0 and "substrand.spectral" in loaded
     assert not {f"substrand.{m}" for m in ("coincidence", "ipsets", "numeration", "points", "strand")} & set(loaded)
-    # numpy loads only where streams are read and strands are built
+    # numpy loads only for Indeterminate scans, stable norms and strands
     for argv in (["classify", fib_spec],
                  ["num", "encode", fib_spec, "--start", "a", "7"],
                  ["num", "decode", fib_spec, "a: a.e.a"],
@@ -980,11 +1009,20 @@ def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spe
                  ["coincide", tm_spec, "--seeds", "a,b", "--deep"],
                  ["coincide", pair_spec, "--seeds", "a,b"],
                  ["coincide", pair_spec, "--seeds", "a,b", "--deep"],
-                 ["ipset", "verify", pair_spec, "--seeds", "a,b"]):
+                 ["ipset", "verify", pair_spec, "--seeds", "a,b"],
+                 # streams, and the agreement and occurrence scans, run on the standard library
+                 ["expand", fib_spec, "--seed", "a", "--length", "5"],
+                 ["occurrences", fib_spec, "--seed", "a", "--factor", "ab", "--horizon", "50"],
+                 ["occurrences", fib_spec, "--seed", "a", "--factor", "ab", "--horizon", "50", "--format", "text"],
+                 ["gaps", fib_spec, "--seed", "a", "--factor", "b", "--horizon", "50"],
+                 ["proximal", pair_spec, "--seeds", "a,b", "--horizon", "50"],
+                 ["ipset", "search", pair_spec, "--seed", "a", "--factor", "b", "--horizon", "50", "--depth", "2"]):
         code, loaded = _modules_after(argv)
         assert code == 0 and "substrand.words" in loaded, argv
         assert not [m for m in loaded if m.split(".")[0] == "numpy"], argv
-    assert "numpy" in _modules_after(["expand", fib_spec, "--seed", "a", "--length", "5"])[1]
+    code, loaded = _modules_after(["strand", "export", fib_spec, "--iterations", "3",
+                                   "--csv", str(tmp_path / "scan.csv")])
+    assert code == 0 and "numpy" in loaded
     # an Indeterminate pair still scans
     late, out = tmp_path / "late.sub", tmp_path / "late.json"
     late.write_text("a -> bbabc\nb -> aabb\nc -> ac\n")

@@ -147,7 +147,7 @@ def test_one_letter_alphabet():
 @pytest.mark.parametrize("images", [("ab", "ba"), ("abbaab", "baabba")])
 def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon, images):
     # the fixed points of a complement pair differ at every index: D_0..D_horizon
-    # read every letter below the horizon, and the buffers stop within one image of it
+    # read every letter below the horizon, and the buffers stop at it
     from substrand import coincidence
 
     monkeypatch.setattr(coincidence, "_BLOCK_CELLS", cells)
@@ -156,9 +156,9 @@ def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon
     x, y = _streams(sub)
     delta_value_set(x, y, horizon + 1)
     for stream in (x, y):
-        assert horizon <= len(stream._buf) < horizon + len(images[0])
+        assert stream._filled == horizon
         # each letter is written once, however many calls the scan made
-        assert written[stream] == len(stream._buf)
+        assert written[stream] == stream._filled + len(stream._tail)
 
     # the closure decides the pair: find_strong_coincidence reports what the
     # full scan does without reading a letter of the streams
@@ -168,4 +168,4 @@ def test_scan_expands_to_the_horizon_and_not_past_it(monkeypatch, cells, horizon
     x, y = _streams(sub)
     expected = CoincidenceVerdict(horizon, None, frozenset(seen), max(seen.values()) < horizon // 2)
     assert find_strong_coincidence(x, y, horizon) == expected
-    assert len(x._buf) == len(y._buf) == 0
+    assert x._filled == y._filled == 0

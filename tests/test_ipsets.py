@@ -169,7 +169,7 @@ def test_verify_finite_sums_matches_the_occurrence_set_oracle(point, data):
     fit = horizon - len(factor)
     # the last sum that is checked or the first that is not, plus occurrences and other values
     edge = data.draw(st.sampled_from([fit, fit + 1]), label="edge")
-    value = st.sampled_from(occ.positions.tolist()) if len(occ) else st.integers(0, horizon + 2)
+    value = st.sampled_from(occ.positions) if len(occ) else st.integers(0, horizon + 2)
     drawn = data.draw(st.sets(st.one_of(value, st.integers(0, horizon + 2)), max_size=3))
     generators = tuple(sorted(drawn | {edge}))
     size = data.draw(st.integers(1, 4), label="max subset size")

@@ -22,8 +22,8 @@ def _oracle_occurrences(text, needle, horizon):
 
 def test_occurrence_examples(fibonacci):
     x = FixedPointStream(fibonacci, "a")
-    assert occurrences(x, "a", 12).positions.tolist() == [0, 2, 3, 5, 7, 8, 10, 11]
-    assert occurrences(x, "ab", 13).positions.tolist() == [0, 3, 5, 8, 11]
+    assert occurrences(x, "a", 12).positions == [0, 2, 3, 5, 7, 8, 10, 11]
+    assert occurrences(x, "ab", 13).positions == [0, 3, 5, 8, 11]
     assert len(occurrences(x, "bb", 1000).positions) == 0
 
 
@@ -33,7 +33,7 @@ def test_occurrences_match_oracle(fibonacci, tribonacci):
         text = oracle_prefix(sub, seed, 2000)
         for factor in ("a", "ab", "aba", "baa"):
             got = occurrences(stream, factor, 2000).positions
-            assert tuple(got.tolist()) == _oracle_occurrences(text, factor, 2000)
+            assert tuple(got) == _oracle_occurrences(text, factor, 2000)
 
 
 def test_occurrences_input_errors(fibonacci):

@@ -39,6 +39,7 @@ from conftest import (
     oracle_max_return_gap,
     oracle_occurrences,
     oracle_prefix,
+    oracle_proximality,
     oracle_scan,
 )
 
@@ -118,6 +119,7 @@ def test_scans_match_oracles_on_random_substitutions(sub, horizon, block_cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coincidence, "_BLOCK_CELLS", block_cells)
         mp.setattr(words, "_BLOCK_CELLS", block_cells)
+        mp.setattr(points, "_BLOCK_CELLS", block_cells)
         x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
         assert x.prefix_text(horizon) == oracle_prefix(sub, "a", horizon)
         _check_against_oracles(sub, x, y, horizon)
@@ -193,7 +195,7 @@ def _check_closure(sub, period):
                                       max(first_seen.values()) < _CLOSURE_HORIZON // 2)
         fresh = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
         assert find_strong_coincidence(*fresh, _CLOSURE_HORIZON) == expected
-        assert all(len(s._buf) == 0 for s in fresh)
+        assert all(s._filled == 0 for s in fresh)
     else:
         assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
     if verdict.found:
@@ -250,7 +252,7 @@ def test_descent_matches_the_scan(sub, same, data):
             x, y = (FixedPointStream(sub, s) for s in seeds)
             found = find_strong_coincidence(x, y, horizon)
             # no letter is read, unless the scan ran: past a witness, on a capped complete closure
-            assert len(x._buf) == len(y._buf) == 0 or scans[-1:] == [horizon]
+            assert x._filled == y._filled == 0 or scans[-1:] == [horizon]
             if witness_index is not None and witness_index < horizon:
                 k = witness_index
                 witness = CoincidenceWitness(k, letters.letters[xs[k]], Word(letters, xs[:k]), Word(letters, ys[:k]))
@@ -302,11 +304,91 @@ def test_occurrences_match_oracles_on_random_substitutions(sub, data, block_cell
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(points, "_BLOCK_CELLS", block_cells)
         occ = occurrences(FixedPointStream(sub, "a"), factor, horizon)
-    assert tuple(occ.positions.tolist()) == expected
-    assert occ.positions.dtype == np.int64 and not occ.positions.flags.writeable
+    assert tuple(occ.positions) == expected and len(occ) == len(expected)
+    # 1 byte per candidate start, exactly 1 at the occurrences; positions are Python ints
+    assert occ.hits == bytes(p in expected for p in range(horizon - len(factor) + 1))
+    assert all(type(p) is int for p in occ.positions)
     gap = max_return_gap(occ)
     assert gap == oracle_max_return_gap(expected)
     assert gap is None or type(gap) is int
+
+
+def _check_proximality(sub, seeds, horizon, min_window):
+    x, y = (FixedPointStream(sub, s) for s in seeds)
+    xs, ys = (_indices(sub, s, horizon) for s in seeds)
+    evidence = proximality_scan(x, y, min_window, horizon)
+    expected = oracle_proximality(xs, ys, min_window, horizon)
+    assert (evidence.windows, evidence.max_length_per_horizon, evidence.verdict) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sub=st.one_of(seeded_pairs(), complement_pairs()),
+    same=st.booleans(),
+    data=st.data(),
+    block_cells=st.sampled_from([1, 2, 3, 5, 8, 13, 1 << 16]),
+)
+def test_proximality_matches_the_letter_by_letter_oracle(sub, same, data, block_cells):
+    horizon = data.draw(st.integers(1, 300), label="horizon")
+    min_window = data.draw(st.integers(1, min(6, horizon)), label="min_window")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_BLOCK_CELLS", block_cells)
+        _check_proximality(sub, "aa" if same else "ab", horizon, min_window)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
+def test_proximality_runs_across_the_probes(aaab_bbab, tribonacci, monkeypatch, block_cells):
+    # every horizon up to 150, min_window 1 included: runs of agreement that
+    # cross h/4 or h/2 must be clipped there, and both occur
+    monkeypatch.setattr(points, "_BLOCK_CELLS", block_cells)
+    crossed = set()
+    for sub, seeds in ((aaab_bbab, "ab"), (tribonacci, "aa")):
+        for horizon in range(1, 151):
+            for min_window in {1, min(4, horizon)}:
+                windows, _, _ = _check_proximality(sub, seeds, horizon, min_window)
+                crossed |= {k for k in (4, 2) for s, n in windows if s < horizon // k < s + n}
+    assert crossed == {4, 2}
+
+
+def _self_overlapping_factors(text, m):
+    """Factors of length m of the text that overlap a shifted copy of themselves."""
+    factors = {text[i:i + m] for i in range(len(text) - m + 1)}
+    return sorted(f for f in factors if any(f[k:] == f[:m - k] for k in range(1, m)))
+
+
+@pytest.mark.parametrize("block_cells", [1, 2, 5, 1 << 16])
+def test_occurrences_of_self_overlapping_factors(fibonacci, thue_morse, tribonacci, monkeypatch, block_cells):
+    monkeypatch.setattr(points, "_BLOCK_CELLS", block_cells)
+    for sub in (fibonacci, thue_morse, tribonacci):
+        text = oracle_prefix(sub, "a", 400)
+        factors = [f for m in range(2, 7) for f in _self_overlapping_factors(text[:200], m)]
+        assert factors
+        for factor in factors:
+            expected = oracle_occurrences(text, factor)
+            # the horizon where the last occurrence ends, and one letter short of it
+            for horizon in (400, expected[-1] + len(factor), expected[-1] + len(factor) - 1):
+                hits = tuple(p for p in expected if p + len(factor) <= horizon)
+                occ = occurrences(FixedPointStream(sub, "a"), factor, horizon)
+                assert tuple(occ.positions) == hits
+                assert max_return_gap(occ) == oracle_max_return_gap(hits)
+
+
+def test_max_return_gap_of_zero_one_and_two_occurrences(fibonacci, monkeypatch):
+    monkeypatch.setattr(points, "_BLOCK_CELLS", 3)
+    x = FixedPointStream(fibonacci, "a")
+    text = oracle_prefix(fibonacci, "a", 200)
+    seen = set()
+    for factor in ("bb", "aaa", "abaab", "baaba", "abaababaab"):
+        expected = oracle_occurrences(text, factor)
+        for horizon in range(len(factor), 200, 7):
+            hits = tuple(p for p in expected if p + len(factor) <= horizon)
+            occ = occurrences(x, factor, horizon)
+            assert tuple(occ.positions) == hits and len(occ) == len(hits)
+            gap = max_return_gap(occ)
+            assert gap == oracle_max_return_gap(hits) and (gap is None or type(gap) is int)
+            seen.add(min(len(hits), 2))
+    assert seen == {0, 1, 2}
 
 
 def test_scans_at_block_boundaries(aab_ba, monkeypatch):
@@ -335,6 +417,28 @@ def test_alphabet_beyond_one_byte():
     assert list(occurrences(x, factor, horizon).positions) == expected
 
     _check_against_oracles(sub, x, y, horizon)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 1 << 16])
+def test_scans_beyond_one_byte_against_oracles(monkeypatch, block_cells):
+    # two bytes per letter: letters 0 and 256 (and others 256 apart) share
+    # their low byte, so the kernel must AND both lanes
+    letters = [chr(0x4E00 + i) for i in range(300)]
+    sub = Substitution({c: c + c + letters[(i + 256) % 300] for i, c in enumerate(letters)})
+    monkeypatch.setattr(points, "_BLOCK_CELLS", block_cells)
+    horizon = 3000
+    text = oracle_prefix(sub, letters[0], horizon)
+    assert {letters[0], letters[256]} <= set(text)
+    x = FixedPointStream(sub, letters[0])
+    for factor in (letters[256], letters[0], letters[256] * 2, letters[256] * 3, text[1:4], text[horizon - 3:]):
+        expected = oracle_occurrences(text, factor)
+        assert len(expected) >= 2 or factor == letters[256] * 3
+        occ = occurrences(x, factor, horizon)
+        assert tuple(occ.positions) == expected
+        assert max_return_gap(occ) == oracle_max_return_gap(expected)
+    for seeds in ((letters[0], letters[256]), (letters[0], letters[0])):
+        for min_window in (1, 3):
+            _check_proximality(sub, seeds, horizon, min_window)
 
 
 def test_prefix_indices_is_read_only(fibonacci):
