@@ -79,8 +79,8 @@ def _load_spec(path: str) -> SubstitutionSpec:
 
     p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path!r}: {exc}") from exc
     return parse_substitution_spec(text, name=p.stem)
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 from .words import FixedPointStream, Substitution, Word, abelianize, apply_substitution
@@ -32,9 +31,9 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
-    """Exact prefix count-difference vectors D_0..D_horizon."""
+class DeltaSequence(NamedTuple):
+    """Exact prefix count-difference vectors D_0..D_horizon: ``len`` and
+    indexing read ``values`` (so ``_replace``, which counts fields, does not apply)."""
 
     horizon: int
     values: tuple[tuple[int, ...], ...]
@@ -46,8 +45,7 @@ class DeltaSequence:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class CoincidenceWitness:
+class CoincidenceWitness(NamedTuple):
     """Index k with abelian-equivalent length-k prefixes and a shared next letter."""
 
     index: int
@@ -65,8 +63,7 @@ class CoincidenceWitness:
         }
 
 
-@dataclass(frozen=True)
-class CoincidenceVerdict:
+class CoincidenceVerdict(NamedTuple):
     """Either a validated witness, or the bounded-scan negative report.
 
     When ``witness`` is None the scan found no qualifying index below the
@@ -236,8 +233,7 @@ WITNESS_EXISTS, NO_WITNESS, INDETERMINATE = "WitnessExists", "NoWitness", "Indet
 CLOSURE_MAX_PAIRS = CLOSURE_MAX_LENGTH = 1000  # hit by inputs whose pairs keep growing
 
 
-@dataclass(frozen=True)
-class BalancedPairClosure:
+class BalancedPairClosure(NamedTuple):
     """The minimal balanced pairs found, and the verdict: WITNESS_EXISTS when
     one is (c, c), NO_WITNESS when the closure is finite without one (a proof;
     ``delta_values`` then holds D_k over every k), INDETERMINATE when a cap was

@@ -16,9 +16,8 @@ occurrence set by backtracking over subset sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
 from .numeration import PathRepresentation, PrefixGraph, build_prefix_graph, decode_path, letter_at
@@ -33,8 +32,7 @@ SEARCHED = "searched"
 POWER_CAP = 8
 
 
-@dataclass(frozen=True)
-class FsProvenance:
+class FsProvenance(NamedTuple):
     """How a path-built family arose: the power used and the edge words."""
 
     power: int
@@ -47,30 +45,13 @@ class FsProvenance:
     paths: tuple[PathRepresentation, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "power": self.power,
-            "prefix_x": str(self.prefix_x),
-            "prefix_y": str(self.prefix_y),
-            "shared_letter": self.shared_letter,
-            "connector": str(self.connector),
-            "target_letter": self.target_letter,
-            "start_letter": self.start_letter,
-            "paths": [p.to_json_dict() for p in self.paths],
-        }
+        words = {name: str(getattr(self, name)) for name in ("prefix_x", "prefix_y", "connector")}
+        return {**self._asdict(), **words, "paths": [p.to_json_dict() for p in self.paths]}
 
 
-@dataclass(frozen=True)
-class FsFamily:
-    """Strictly increasing generators whose finite sums are to be occurrences."""
-
+class _FsFamilyFields(NamedTuple):
     generators: tuple[int, ...]
     provenance: FsProvenance | str
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.generators, self.generators[1:])):
-            raise InputError("generators must be strictly increasing")
-        if any(g < 0 for g in self.generators):
-            raise InputError("generators must be >= 0")
 
     def to_json_dict(self) -> dict:
         prov = (
@@ -79,6 +60,23 @@ class FsFamily:
             else self.provenance.to_json_dict()
         )
         return {"generators": list(self.generators), "provenance": prov}
+
+
+class FsFamily(_FsFamilyFields):
+    """Strictly increasing generators whose finite sums are to be occurrences."""
+
+    __slots__ = ()
+
+    def __new__(cls, generators: tuple[int, ...], provenance: FsProvenance | str):
+        if any(b <= a for a, b in zip(generators, generators[1:])):
+            raise InputError("generators must be strictly increasing")
+        if any(g < 0 for g in generators):
+            raise InputError("generators must be >= 0")
+        return super().__new__(cls, generators, provenance)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate its families too
+        return cls(*fields)
 
 
 def build_fs_family(
@@ -140,8 +138,7 @@ def build_fs_family(
     return FsFamily(tuple(generators), provenance)
 
 
-@dataclass(frozen=True)
-class FsVerification:
+class FsVerification(NamedTuple):
     """Outcome of testing subset sums of a family for occurrences of a factor.
 
     Sums whose occurrence would not fit below the horizon are reported as
@@ -158,15 +155,9 @@ class FsVerification:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family.to_json_dict(),
-            "factor": str(self.factor),
-            "horizon": self.horizon,
-            "max_subset_size": self.max_subset_size,
-            "failures": [[list(sub), total] for sub, total in self.failures],
-            "unchecked": [[list(sub), total] for sub, total in self.unchecked],
-            "verdict": self.verdict,
-        }
+        return {**self._asdict(), "family": self.family.to_json_dict(), "factor": str(self.factor),
+                "failures": [[list(sub), total] for sub, total in self.failures],
+                "unchecked": [[list(sub), total] for sub, total in self.unchecked]}
 
     def to_text(self) -> str:
         """Aligned table with one row per tested subset."""

@@ -20,8 +20,9 @@ empty token is used instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import InputError
 from .words import Substitution, Word, apply_substitution, require_seed_period
@@ -29,8 +30,7 @@ from .words import Substitution, Word, apply_substitution, require_seed_period
 DEFAULT_REALIZE_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class PrefixEdge:
+class PrefixEdge(NamedTuple):
     """Edge of the prefix automaton: label then target spell an image prefix."""
 
     source: str
@@ -72,9 +72,10 @@ class PrefixGraph:
         )
 
     def weight(self, level: int, word: Word) -> int:
-        """Exact length of image^level(word)."""
+        """Exact length of image^level(word): the word's letter counts dotted
+        with the level's image lengths."""
         lengths = self.substitution.image_lengths(level)
-        return sum(lengths[i] for i in word.indices)
+        return sum(lengths[a] * count for a, count in Counter(word.indices).items())
 
     def require_seed(self, vertex: str) -> None:
         period = require_seed_period(self.substitution, vertex)
@@ -97,20 +98,9 @@ def build_prefix_graph(sub: Substitution) -> PrefixGraph:
     return PrefixGraph(sub)
 
 
-@dataclass(frozen=True)
-class PathRepresentation:
-    """A labeled path from a start vertex; the empty label list is the 0th path.
-
-    For paths with more than one label the first label must be nonempty
-    (properness), otherwise distinct paths could stand for the same integer.
-    """
-
+class _PathFields(NamedTuple):
     start: str
     labels: tuple[Word, ...]
-
-    def __post_init__(self):
-        if len(self.labels) > 1 and len(self.labels[0]) == 0:
-            raise InputError("first label must be nonempty on a multi-label path")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -119,8 +109,27 @@ class PathRepresentation:
         return {"start": self.start, "labels": [str(u) for u in self.labels]}
 
 
-@dataclass(frozen=True)
-class DecodedValue:
+class PathRepresentation(_PathFields):
+    """A labeled path from a start vertex; the empty label list is the 0th path.
+
+    For paths with more than one label the first label must be nonempty
+    (properness), otherwise distinct paths could stand for the same integer.
+    ``len`` counts the labels.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: str, labels: tuple[Word, ...]):
+        if len(labels) > 1 and len(labels[0]) == 0:
+            raise InputError("first label must be nonempty on a multi-label path")
+        return super().__new__(cls, start, labels)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: validate its paths too
+        return cls(*fields)
+
+
+class DecodedValue(NamedTuple):
     """Value and terminal vertex of a path; the realized prefix is optional."""
 
     value: int
@@ -128,11 +137,7 @@ class DecodedValue:
     realized: Word | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "terminal": self.terminal,
-            "realized": None if self.realized is None else str(self.realized),
-        }
+        return {**self._asdict(), "realized": None if self.realized is None else str(self.realized)}
 
 
 def decode_path(
@@ -275,8 +280,7 @@ def enumerate_paths(g: PrefixGraph, start: str, count: int) -> list[PathRepresen
     return [_path(g, start, labels) for labels, _ in islice(walks, count)]
 
 
-@dataclass(frozen=True)
-class SynchronizingEntry:
+class SynchronizingEntry(NamedTuple):
     """An integer whose paths from both start vertices share a terminal."""
 
     value: int
@@ -293,8 +297,7 @@ class SynchronizingEntry:
         }
 
 
-@dataclass(frozen=True)
-class SynchronizingScan:
+class SynchronizingScan(NamedTuple):
     """Synchronizing values in a range plus the longest consecutive run."""
 
     start_a: str

@@ -11,10 +11,10 @@ as big integers into 1 byte per position, whose runs ``bytes.find`` measures.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_
+from typing import NamedTuple
 
 from .errors import InputError
 from .words import FixedPointStream, Word
@@ -47,18 +47,27 @@ def _longest_run(mask: bytearray, byte: int, start: int, end: int) -> int:
     return longest
 
 
-@dataclass(frozen=True, eq=False)
-class OccurrenceSet:
+class OccurrenceSet(NamedTuple):
     """Positions below the horizon where the factor occurs in the stream's word.
 
     ``hits`` holds 1 byte per candidate start p, 1 where the factor occurs at
     p (do not modify); every occurrence fits entirely below the horizon
     (p + |factor| <= horizon). ``positions`` lists them, strictly increasing.
+    ``len`` counts them (so ``_replace``, which counts fields, does not
+    apply), and a set equals only itself.
     """
 
     factor: Word
     horizon: int
     hits: bytearray
+
+    def __eq__(self, other) -> bool:
+        return self is other
+
+    def __ne__(self, other) -> bool:
+        return self is not other
+
+    __hash__ = object.__hash__
 
     @property
     def positions(self) -> list[int]:
@@ -118,8 +127,7 @@ def max_return_gap(occ: OccurrenceSet) -> int | None:
     return max(first, _longest_run(hits, 0, first + 1, last) + 1)
 
 
-@dataclass(frozen=True)
-class ProximalityEvidence:
+class ProximalityEvidence(NamedTuple):
     """Agreement windows between two streams below a horizon.
 
     ``windows`` lists maximal runs (position, length) of coordinatewise
@@ -136,13 +144,8 @@ class ProximalityEvidence:
     verdict: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "windows": [list(w) for w in self.windows],
-            "horizon": self.horizon,
-            "min_window": self.min_window,
-            "max_length_per_horizon": {str(h): m for h, m in self.max_length_per_horizon},
-            "verdict": self.verdict,
-        }
+        return {**self._asdict(), "windows": [list(w) for w in self.windows],
+                "max_length_per_horizon": {str(h): m for h, m in self.max_length_per_horizon}}
 
 
 def proximality_scan(

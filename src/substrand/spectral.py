@@ -11,11 +11,11 @@ import cmath
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count, zip_longest
 from operator import mul, ne, or_
+from typing import NamedTuple
 
 from .errors import InputError
 from .words import Substitution
@@ -370,8 +370,7 @@ def is_irreducible(poly: IntPolynomial) -> bool:
 # numeric roots with a-posteriori certification
 
 
-@dataclass(frozen=True)
-class RootBound:
+class RootBound(NamedTuple):
     """A root of the characteristic polynomial with a modulus certificate.
 
     ``exact`` roots are rational and carry radius 0; a numeric root z carries
@@ -534,8 +533,7 @@ def _perron_vector(matrix: list[list[int]], eigenvalue: float) -> tuple[float, t
     return eigenvalue, tuple(w), _sqrt_up(residual)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Spectral classification of a substitution.
 
     For non-primitive input only primitivity and the characteristic
@@ -551,7 +549,7 @@ class ClassificationReport:
     perron_vector: tuple[float, ...] | None = None
     perron_residual: float | None = None
     pisot_type: str | None = None
-    root_bounds: tuple[RootBound, ...] = field(default=())
+    root_bounds: tuple[RootBound, ...] = ()
     irreducible_pisot: bool | None = None
 
     def to_json_dict(self) -> dict:

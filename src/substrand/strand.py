@@ -15,9 +15,8 @@ substitutions, traces the familiar fractal tile.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence, TextIO
+from typing import NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -40,12 +39,12 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
-class Strand:
+class Strand(NamedTuple):
     """A lattice path in Z^n: an integer origin and the word its unit steps spell.
 
     Vertex j is ``origin + counts(word[:j])``; each letter is one unit
-    segment along its coordinate axis, so ``len(strand)`` counts segments.
+    segment along its coordinate axis, so ``len(strand)`` counts segments
+    (and ``_replace``, which counts fields, does not apply).
     """
 
     word: Word
@@ -97,8 +96,7 @@ def substitute_strand(sub: Substitution, strand: Strand) -> Strand:
     return _strand(apply_substitution(sub, strand.word), origin)
 
 
-@dataclass(frozen=True)
-class InvariantSplitting:
+class InvariantSplitting(NamedTuple):
     """Expanding line / contracting hyperplane splitting of the count matrix.
 
     The right and left Perron vectors come from one inverse iteration each,
@@ -190,8 +188,7 @@ def invariant_splitting(
     return splitting
 
 
-@dataclass(frozen=True)
-class StabilityScan:
+class StabilityScan(NamedTuple):
     """Per-iteration stable-norm envelopes of an inflated strand.
 
     ``envelopes[k]`` is the largest stable-projection norm over the vertices

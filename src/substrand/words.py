@@ -19,9 +19,9 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import accumulate
-from typing import TYPE_CHECKING, Iterable, Mapping
+from collections import Counter
+from itertools import accumulate, chain
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InputError
 
@@ -103,6 +103,14 @@ class Word:
         self.alphabet = alphabet
         self.indices = indices
 
+    @classmethod
+    def _valid(cls, alphabet: Alphabet, indices: tuple[int, ...]) -> Word:
+        """A word from a tuple of indices already known to be letters of the
+        alphabet (read off valid words), without the per-letter range check."""
+        word = object.__new__(cls)
+        word.alphabet, word.indices = alphabet, indices
+        return word
+
     def __len__(self) -> int:
         return len(self.indices)
 
@@ -112,13 +120,13 @@ class Word:
 
     def __getitem__(self, item):
         if isinstance(item, slice):
-            return Word(self.alphabet, self.indices[item])
+            return Word._valid(self.alphabet, self.indices[item])
         return self.alphabet.letters[self.indices[item]]
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise InputError("cannot concatenate words over different alphabets")
-        return Word(self.alphabet, self.indices + other.indices)
+        return Word._valid(self.alphabet, self.indices + other.indices)
 
     def __eq__(self, other) -> bool:
         return (
@@ -152,7 +160,7 @@ def abelianize(u: Word) -> tuple[int, ...]:
 class Substitution:
     """A map sending each letter to a nonempty word, extended by concatenation."""
 
-    __slots__ = ("alphabet", "_images", "_lengths")
+    __slots__ = ("alphabet", "_images", "_counts", "_lengths")
 
     def __init__(self, rules: Mapping[str, str | Word], alphabet: Alphabet | None = None):
         if alphabet is None:
@@ -169,23 +177,27 @@ class Substitution:
             raise InputError("rules mention letters outside the alphabet")
         self.alphabet = alphabet
         self._images = tuple(images)
+        self._counts = None  # the count matrix by columns, built by the first image_lengths(k > 0)
         self._lengths = [[1] * len(images)]  # image_lengths(k) for k below len
 
     def image(self, letter: str) -> Word:
-        return Word(self.alphabet, self._images[self.alphabet.index(letter)])
+        return Word._valid(self.alphabet, self._images[self.alphabet.index(letter)])
 
     def image_indices(self, letter_index: int) -> tuple[int, ...]:
         return self._images[letter_index]
 
     def image_lengths(self, level: int) -> list[int]:
         """Exact |image^level(a)| of every letter a, in alphabet order, memoized per
-        level (do not modify): |image^(k+1)(a)| sums |image^k(b)| over b in image(a)."""
+        level (do not modify): as a row vector, level k + 1 is level k times M, the
+        count matrix, so a level costs O(n^2) whatever the lengths of the images."""
         if level < 0:
             raise InputError("level must be >= 0")
         lengths = self._lengths
+        if len(lengths) <= level and self._counts is None:  # (b, count of b in image(a)) for each a
+            self._counts = [tuple(Counter(image).items()) for image in self._images]
         while len(lengths) <= level:
             previous = lengths[-1]
-            lengths.append([sum(previous[b] for b in image) for image in self._images])
+            lengths.append([sum(previous[b] * count for b, count in column) for column in self._counts])
         return lengths[level]
 
     def rules(self) -> dict[str, str]:
@@ -220,8 +232,7 @@ class Substitution:
 _RULE = re.compile(r"^\s*(\S+)\s*->\s*(.+?)\s*$")
 
 
-@dataclass(frozen=True)
-class SubstitutionSpec:
+class SubstitutionSpec(NamedTuple):
     """A parsed rule file: source text, the substitution, an optional name."""
 
     source: str
@@ -265,14 +276,10 @@ def apply_substitution(sub: Substitution, u: Word | str, power: int = 1) -> Word
     """Apply the substitution ``power`` times to ``u`` (images concatenated in order)."""
     if power < 1:
         raise InputError("power must be >= 1")
-    word = sub.alphabet.word(u)
-    indices = word.indices
+    indices = sub.alphabet.word(u).indices
     for _ in range(power):
-        out: list[int] = []
-        for i in indices:
-            out.extend(sub._images[i])
-        indices = tuple(out)
-    return Word(sub.alphabet, indices)
+        indices = tuple(chain.from_iterable(map(sub._images.__getitem__, indices)))
+    return Word._valid(sub.alphabet, indices)
 
 
 def seed_period(sub: Substitution, letter: str) -> int | None:
@@ -392,7 +399,7 @@ class FixedPointStream:
 
     def expand(self, length: int) -> Word:
         """The prefix of the periodic point of the given length (idempotent)."""
-        return Word(self.alphabet, self.prefix_view(length).tolist())
+        return Word._valid(self.alphabet, tuple(self.prefix_view(length).tolist()))
 
     def prefix_view(self, length: int) -> memoryview:
         """Prefix as a read-only memoryview of letter indices, format ``B``

@@ -107,6 +107,21 @@ def oracle_seed_period(sub, letter):
     return None
 
 
+def oracle_image_lengths(sub, level):
+    """|sub^level(a)| of every letter a, each level summed letter by letter over
+    the images: the recurrence the library ran before the count matrix."""
+    lengths = [1] * len(sub.alphabet)
+    for _ in range(level):
+        lengths = [sum(lengths[b] for b in sub.image_indices(a)) for a in range(len(lengths))]
+    return lengths
+
+
+def oracle_weight(sub, level, word):
+    """|sub^level(word)|, summed letter by letter over the word."""
+    lengths = oracle_image_lengths(sub, level)
+    return sum(lengths[a] for a in word.indices)
+
+
 def oracle_enumerate_paths(g, start, count):
     """The first ``count`` paths at a period-1 seed, generated recursively
     from the path order (label count, then label lengths lexicographically,

@@ -588,6 +588,26 @@ def test_an_unreadable_rule_file_is_reported_before_the_flags(capsys, tmp_path):
         assert capsys.readouterr().err.startswith(f"error: cannot read spec file {missing!r}: ")
 
 
+def test_a_rule_file_that_is_not_utf8_is_an_unreadable_file(capsys, tmp_path):
+    bad = tmp_path / "latin1.sub"
+    bad.write_bytes(b"a -> ab\nb -> \xff\n")
+    for argv in (["classify", str(bad)], ["expand", str(bad), "--seed", "a", "--length", "5"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read spec file {str(bad)!r}: ") and "decode" in err
+    # as a child: one error line, no traceback
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run([sys.executable, "-m", "substrand", "classify", str(bad)], capture_output=True,
+                            text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.returncode == 2 and "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: cannot read spec file ") and result.stderr.count("\n") == 1
+    # UTF-8 letters outside ASCII read the same under any locale
+    utf8 = tmp_path / "utf8.sub"
+    utf8.write_bytes("é -> éø\nø -> é\n".encode("utf-8"))
+    assert main(["expand", str(utf8), "--seed", "é", "--length", "5", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "éøééø\n"
+
+
 def test_output_file_option(tmp_path, fib_spec):
     out = tmp_path / "report.json"
     code = main(["classify", fib_spec, "--output", str(out)])
@@ -970,18 +990,20 @@ def test_library_import_loads_neither_cli_nor_scipy():
 _MODULES_PROBE = (
     "import json, runpy, sys\n"
     "sys.argv = ['substrand', *json.loads(sys.argv[1])]\n"
+    "before = set(sys.modules)\n"
     "try:\n"
     "    runpy.run_module('substrand', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    "loaded = sorted(m for m in sys.modules if m.split('.')[0] in ('substrand', 'numpy'))\n"
+    "watched = ('substrand', 'numpy', 'dataclasses', 'inspect')\n"
+    "loaded = sorted(m for m in set(sys.modules) - before if m.split('.')[0] in watched)\n"
     "print(json.dumps([code, loaded]), file=sys.stderr)\n"
 )
 
 
 def _modules_after(argv):
-    """Exit code of ``python -m substrand *argv`` and the substrand and numpy
-    modules it loaded."""
+    """Exit code of ``python -m substrand *argv`` and the substrand, numpy,
+    ``dataclasses`` and ``inspect`` modules it loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", _MODULES_PROBE, json.dumps(argv)],
@@ -996,7 +1018,8 @@ def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spe
     code, loaded = _modules_after(["classify", fib_spec])
     assert code == 0 and "substrand.spectral" in loaded
     assert not {f"substrand.{m}" for m in ("coincidence", "ipsets", "numeration", "points", "strand")} & set(loaded)
-    # numpy loads only for Indeterminate scans, stable norms and strands
+    # numpy loads only for Indeterminate scans, stable norms and strands; no
+    # command loads dataclasses, nor, without numpy (which loads it), inspect
     for argv in (["classify", fib_spec],
                  ["num", "encode", fib_spec, "--start", "a", "7"],
                  ["num", "decode", fib_spec, "a: a.e.a"],
@@ -1010,6 +1033,7 @@ def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spe
                  ["coincide", pair_spec, "--seeds", "a,b"],
                  ["coincide", pair_spec, "--seeds", "a,b", "--deep"],
                  ["ipset", "verify", pair_spec, "--seeds", "a,b"],
+                 ["ipset", "build", pair_spec, "--seeds", "a,b"],
                  # streams, and the agreement and occurrence scans, run on the standard library
                  ["expand", fib_spec, "--seed", "a", "--length", "5"],
                  ["occurrences", fib_spec, "--seed", "a", "--factor", "ab", "--horizon", "50"],
@@ -1019,15 +1043,15 @@ def test_start_up_imports_only_what_the_command_runs(fib_spec, pair_spec, tm_spe
                  ["ipset", "search", pair_spec, "--seed", "a", "--factor", "b", "--horizon", "50", "--depth", "2"]):
         code, loaded = _modules_after(argv)
         assert code == 0 and "substrand.words" in loaded, argv
-        assert not [m for m in loaded if m.split(".")[0] == "numpy"], argv
+        assert not [m for m in loaded if m.split(".")[0] in ("numpy", "dataclasses", "inspect")], argv
     code, loaded = _modules_after(["strand", "export", fib_spec, "--iterations", "3",
                                    "--csv", str(tmp_path / "scan.csv")])
-    assert code == 0 and "numpy" in loaded
+    assert code == 0 and "numpy" in loaded and "dataclasses" not in loaded
     # an Indeterminate pair still scans
     late, out = tmp_path / "late.sub", tmp_path / "late.json"
     late.write_text("a -> bbabc\nb -> aabb\nc -> ac\n")
     code, loaded = _modules_after(["coincide", str(late), "--seeds", "a,b", "--deep", "--output", str(out)])
-    assert code == 0 and "numpy" in loaded
+    assert code == 0 and "numpy" in loaded and "dataclasses" not in loaded
     assert json.loads(out.read_text())["pairs"][0]["witness"]["k"] == 216934
 
 

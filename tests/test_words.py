@@ -17,7 +17,7 @@ from substrand import (
     expand,
     list_periodic_seeds,
 )
-from conftest import oracle_prefix, oracle_seed_period, spy_letters_written
+from conftest import oracle_image_lengths, oracle_prefix, oracle_seed_period, oracle_weight, spy_letters_written
 
 
 def test_alphabet_rejects_duplicates_and_multichar():
@@ -253,6 +253,23 @@ def test_image_lengths_are_the_lengths_of_the_images(sub, data):
             assert graph.weight(k, sub.alphabet.word(w)) == image_length(w)
     with pytest.raises(InputError, match="level must be >= 0"):
         sub.image_lengths(-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_image_lengths_match_the_letter_by_letter_sums(data):
+    # images and levels far past what expanding the images allows
+    letters = "abcdefgh"[:data.draw(st.integers(1, 8))]
+    sub = Substitution({a: data.draw(st.text(alphabet=letters, min_size=1, max_size=12)) for a in letters})
+    graph = build_prefix_graph(sub)
+    levels = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=6))  # any order
+    words = data.draw(st.lists(st.text(alphabet=letters, max_size=60), min_size=1, max_size=3))
+    for level in levels:
+        assert sub.image_lengths(level) == oracle_image_lengths(sub, level)
+        for w in words:
+            assert graph.weight(level, sub.alphabet.word(w)) == oracle_weight(sub, level, sub.alphabet.word(w))
+    power = data.draw(st.integers(1, 4))
+    assert sub.power(power).image_lengths(3) == oracle_image_lengths(sub, 3 * power)
 
 
 def test_substitution_power(fibonacci):
