@@ -207,8 +207,6 @@ def _coincide_pair(sub: Substitution, a: str, b: str, horizon: int, deep: bool):
     from . import coincidence as coin
 
     x, y, period = _stream_pair(sub, a, b)
-    if horizon < 1:  # refused before the deep scan lifts it to the cap
-        raise InputError("horizon must be >= 1")
     verdict = coin.find_strong_coincidence(x, y, max(horizon, MATERIALIZE_CAP) if deep else horizon)
     if verdict.found:
         while horizon <= verdict.witness.index:
@@ -221,6 +219,8 @@ def _cmd_coincide(args, sub: Substitution):
     from .words import list_periodic_seeds
 
     horizon = _scan_horizon(args)
+    if horizon < 1:  # refused before any pair is read, and before the deep scan lifts it to the cap
+        raise InputError("horizon must be >= 1")
     if args.seeds:
         pairs = [_parse_seeds(args.seeds)]
     else:

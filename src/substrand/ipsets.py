@@ -17,11 +17,12 @@ occurrence set by backtracking over subset sums.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
-from .numeration import PathRepresentation, PrefixGraph, build_prefix_graph, decode_path, letter_at
-from .words import Substitution, Word, apply_substitution
+from .numeration import PathRepresentation, PrefixGraph, letter_at
+from .words import Substitution, Word, abelianize, apply_substitution
 
 if TYPE_CHECKING:
     from .coincidence import CoincidenceWitness
@@ -86,10 +87,12 @@ def build_fs_family(
 ) -> FsFamily:
     """Generators n_i from a validated strong-coincidence witness.
 
-    The power of the substitution is raised (up to POWER_CAP) until the
-    witness prefixes followed by the shared letter are prefixes of the two
-    seed images and the target letter occurs in the shared letter's image;
-    the first such occurrence fixes the connector word.
+    The power q is raised (up to POWER_CAP) until s c and t c are prefixes of
+    sigma^q(a) and sigma^q(b) and b occurs in sigma^q(c), whose prefix before
+    that b is the connector r. No image is empty, so the heads suffice:
+    sigma^q(w)[:m] = sigma(sigma^(q-1)(w)[:m])[:m]. Generators are exact
+    image lengths, n_i = |sigma^(q(2i+1))(s)| + |sigma^(2qi)(r)|: the value
+    under sigma^q of the path s, r, e, ..., e that the provenance keeps.
     """
     if count < 0:
         raise InputError("count must be >= 0")
@@ -105,28 +108,24 @@ def build_fs_family(
     tc = t + alphabet.word(c)
     b_index = alphabet.index(b)
 
-    for chosen_power in range(1, POWER_CAP + 1):
-        image_a = apply_substitution(sub, a, chosen_power)
-        image_b = apply_substitution(sub, b, chosen_power)
-        image_c = apply_substitution(sub, c, chosen_power)
-        if image_a.startswith(sc) and image_b.startswith(tc) and b_index in image_c.indices:
+    head_a, head_b, image_c = s[:1], t[:1], alphabet.word(c)
+    for power in range(1, POWER_CAP + 1):
+        head_a = apply_substitution(sub, head_a)[: len(sc)]
+        head_b = apply_substitution(sub, head_b)[: len(tc)]
+        image_c = apply_substitution(sub, image_c)
+        if head_a == sc and head_b == tc and b_index in image_c.indices:
             break
     else:
         raise InputError(f"no power of the substitution up to {POWER_CAP} embeds the witness")
+    connector = image_c[: image_c.indices.index(b_index)]
 
-    sigma = sub.power(chosen_power)
-    image_c = sigma.image(c)
-    first_b = image_c.indices.index(b_index)
-    connector = image_c[:first_b]
-
-    graph = build_prefix_graph(sigma)
+    s_counts, r_counts = abelianize(s), abelianize(connector)
+    generators = [sum(map(mul, s_counts, sub.image_lengths(power * (2 * i + 1))))
+                  + sum(map(mul, r_counts, sub.image_lengths(2 * power * i))) for i in range(count)]
     empty = Word(alphabet)
-    paths = [
-        PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count)
-    ]
-    generators = [decode_path(graph, p, materialize=False).value for p in paths]
+    paths = [PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count)]
     provenance = FsProvenance(
-        power=chosen_power,
+        power=power,
         prefix_x=s,
         prefix_y=t,
         shared_letter=c,

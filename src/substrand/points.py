@@ -173,10 +173,8 @@ def proximality_scan(
         end = horizon if end < 0 else end
         windows.append((start, end - start))
         start = end
-    # the longest run below h: the longest window clipped at h, unless the runs there are shorter
     probes = sorted({max(1, horizon // 4), max(1, horizon // 2), horizon})
-    best = {h: max((min(s + n, h) - s for s, n in windows if s < h), default=0) for h in probes}
-    best = {h: m if m >= min_window else _longest_run(agree, 1, 0, h) for h, m in best.items()}
+    best = {h: _longest_run(agree, 1, 0, h) for h in probes}  # the longest run below h
     full, half = best[horizon], best[max(1, horizon // 2)]
     verdict = EVIDENCE_FOR if (full >= min_window and full > half) else NONE_FOUND
     return ProximalityEvidence(tuple(windows), horizon, min_window, tuple(best.items()), verdict)

@@ -145,9 +145,6 @@ class Word:
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
 
-    def startswith(self, prefix: "Word") -> bool:
-        return self.indices[: len(prefix.indices)] == prefix.indices
-
 
 def abelianize(u: Word) -> tuple[int, ...]:
     """Letter-count vector of a word; coordinate i counts letter i."""

@@ -3,16 +3,23 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from substrand import (
     FixedPointStream,
+    FsFamily,
+    FsProvenance,
+    InputError,
     PathRepresentation,
     Substitution,
     Word,
     abelianization_matrix,
     apply_substitution,
+    build_prefix_graph,
+    decode_path,
     find_strong_coincidence,
 )
+from substrand.ipsets import POWER_CAP
 
 
 @pytest.fixture
@@ -46,6 +53,20 @@ def aab_bbaab():
 def aaab_bbab():
     # uniform length-4 pair: proximal fixed points, no strong coincidence
     return Substitution({"a": "aaab", "b": "bbab"})
+
+
+@st.composite
+def seeded_pairs(draw, period=1):
+    """A substitution whose images of a and b start with a and b, or with
+    b and a for ``period`` 2 (a and b are then seeds of period 2)."""
+    letters = "abcd"[: draw(st.integers(2, 4))]
+    first = {"a": "a", "b": "b"} if period == 1 else {"a": "b", "b": "a"}
+
+    def word(min_size, max_size):
+        return "".join(draw(st.lists(st.sampled_from(letters), min_size=min_size, max_size=max_size)))
+
+    rules = {c: (first[c] + word(1, 3) if c in "ab" else word(1, 4)) for c in letters}
+    return Substitution(rules)
 
 
 def oracle_prefix(sub, seed, length, period=1):
@@ -308,6 +329,31 @@ def oracle_verify_finite_sums(generators, occ, max_subset_size):
             elif total not in positions:
                 failures.append((subset, total))
     return tuple(failures), tuple(unchecked)
+
+
+def oracle_build_fs_family(sub, witness, count):
+    """The family built as the library did before exact image lengths: the
+    full images of a, b and c under sub^q for q = 1, 2, ..., then the prefix
+    automaton of sub.power(q) decodes each path to its generator."""
+    if count < 0:
+        raise InputError("count must be >= 0")
+    s, t, c = witness.prefix_x, witness.prefix_y, witness.letter
+    if len(s) == 0 or len(t) == 0:
+        raise InputError("witness prefixes must be nonempty")
+    a, b = s[0], t[0]
+    for power in range(1, POWER_CAP + 1):
+        image_a, image_b, image_c = (str(apply_substitution(sub, u, power)) for u in (a, b, c))
+        if image_a.startswith(str(s) + c) and image_b.startswith(str(t) + c) and b in image_c:
+            break
+    else:
+        raise InputError(f"no power of the substitution up to {POWER_CAP} embeds the witness")
+    sigma = sub.power(power)
+    connector = sigma.image(c)[: image_c.index(b)]
+    graph = build_prefix_graph(sigma)
+    empty = Word(sub.alphabet)
+    paths = tuple(PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count))
+    generators = tuple(decode_path(graph, p, materialize=False).value for p in paths)
+    return FsFamily(generators, FsProvenance(power, s, t, c, connector, b, a, paths))
 
 
 def oracle_max_return_gap(positions):

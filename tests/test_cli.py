@@ -287,6 +287,15 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     assert capsys.readouterr().err == "error: horizon must be >= 1\n"
 
 
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_coincide_refuses_a_horizon_below_1_on_every_rule_file(capsys, fib_spec, tm_spec, horizon):
+    # Fibonacci has one periodic seed and so no pair: the refusal cannot wait for a pair
+    for spec in (fib_spec, tm_spec):
+        for flags in ([], ["--deep"], ["--expect-witness"]):
+            assert main(["coincide", spec, "--horizon", horizon, *flags]) == 2
+            assert capsys.readouterr() == ("", "error: horizon must be >= 1\n")
+
+
 def test_coincide_without_witness_reads_no_letter(capsys, monkeypatch, tm_spec):
     # Thue-Morse: the closure proves there is no witness, and the first index of
     # each D value is read off it, so neither stream writes a letter

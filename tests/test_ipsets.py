@@ -1,7 +1,8 @@
+import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from substrand import (
     FixedPointStream,
@@ -10,16 +11,18 @@ from substrand import (
     PathRepresentation,
     Substitution,
     Word,
+    abelianization_matrix,
     build_fs_family,
     build_prefix_graph,
     decode_path,
     find_strong_coincidence,
+    is_primitive,
     occurrences,
     search_ip_witness,
     verify_finite_sums,
 )
-from substrand.ipsets import SEARCHED
-from conftest import oracle_verify_finite_sums
+from substrand.ipsets import POWER_CAP, SEARCHED
+from conftest import oracle_build_fs_family, oracle_verify_finite_sums, seeded_pairs
 
 
 @pytest.fixture
@@ -89,6 +92,70 @@ def test_abelian_twin_paths_have_equal_values(pair_witness):
             prov.target_letter, (prov.prefix_y, prov.connector) + (empty,) * (2 * i)
         )
         assert decode_path(g, twin, materialize=False).value == value
+
+
+# most drawn rules are not primitive or have no witness below the horizon
+_FILTERED = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _witnessed_power(sub):
+    """sub raised to the lcm of the periods of its seeds a and b, and their
+    least witness below 4096, as ``ipset build`` pairs them."""
+    assume(is_primitive(abelianization_matrix(sub))[0])
+    x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "b")
+    witness = find_strong_coincidence(x, y, 4096).witness
+    assume(witness is not None)
+    return sub.power(math.lcm(x.period, y.period)), witness
+
+
+def _family_or_error(build, sub, witness, count):
+    try:
+        return build(sub, witness, count)
+    except InputError as error:
+        return str(error)
+
+
+@_FILTERED
+@given(sub=st.one_of(seeded_pairs(), seeded_pairs(period=2)), count=st.integers(0, 5))
+def test_family_matches_the_full_image_oracle(sub, count):
+    # power, connector, paths and generators: exact image lengths against
+    # full images, sub.power(q) and the path decoder
+    sigma, witness = _witnessed_power(sub)
+    family = _family_or_error(build_fs_family, sigma, witness, count)
+    assert family == _family_or_error(oracle_build_fs_family, sigma, witness, count)
+
+
+@_FILTERED
+@given(sub=st.one_of(seeded_pairs(), seeded_pairs(period=2)), count=st.integers(0, 5), data=st.data())
+def test_tampered_witness_gets_the_oracle_family_or_error(sub, count, data):
+    sigma, witness = _witnessed_power(sub)
+    # a witness that embeds at no power builds images up to sigma^POWER_CAP: keep them small
+    assume(max(sigma.image_lengths(POWER_CAP)) <= 20_000)
+    letters = sub.alphabet.letters
+    field = data.draw(st.sampled_from(["letter", "prefix_x", "prefix_y"]), label="field")
+    if field == "letter":
+        value = data.draw(st.sampled_from([c for c in letters if c != witness.letter]), label="letter")
+    else:  # one letter of s or t changed, or dropped (""); at either end the result may still embed
+        word = str(getattr(witness, field))
+        j = data.draw(st.sampled_from([0, len(word) - 1]) | st.integers(0, len(word) - 1), label="index")
+        other = data.draw(st.sampled_from([c for c in letters if c != word[j]] + [""]), label="by")
+        value = sub.alphabet.word(word[:j] + other + word[j + 1:])
+    tampered = witness._replace(**{field: value})
+    family = _family_or_error(build_fs_family, sigma, tampered, count)
+    assert family == _family_or_error(oracle_build_fs_family, sigma, tampered, count)
+
+
+def test_refused_witness_gets_the_oracle_error(pair_witness):
+    sub, _, witness = pair_witness
+    empty = Word(sub.alphabet)
+    for tampered, count, message in [
+        (witness, -1, "count must be >= 0"),
+        (witness._replace(prefix_x=empty), 2, "witness prefixes must be nonempty"),
+        (witness._replace(prefix_y=empty), 2, "witness prefixes must be nonempty"),
+        (witness._replace(letter="b"), 2, f"no power of the substitution up to {POWER_CAP} embeds the witness"),
+    ]:
+        assert _family_or_error(build_fs_family, sub, tampered, count) == message
+        assert _family_or_error(oracle_build_fs_family, sub, tampered, count) == message
 
 
 def test_verify_finite_sums_pass(pair_witness):

@@ -41,21 +41,8 @@ from conftest import (
     oracle_prefix,
     oracle_proximality,
     oracle_scan,
+    seeded_pairs,
 )
-
-
-@st.composite
-def seeded_pairs(draw, period=1):
-    """A substitution whose images of a and b start with a and b, or with
-    b and a for ``period`` 2 (a and b are then seeds of period 2)."""
-    letters = "abcd"[: draw(st.integers(2, 4))]
-    first = {"a": "a", "b": "b"} if period == 1 else {"a": "b", "b": "a"}
-
-    def word(min_size, max_size):
-        return "".join(draw(st.lists(st.sampled_from(letters), min_size=min_size, max_size=max_size)))
-
-    rules = {c: (first[c] + word(1, 3) if c in "ab" else word(1, 4)) for c in letters}
-    return Substitution(rules)
 
 
 @st.composite
