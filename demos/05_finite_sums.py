@@ -13,7 +13,6 @@ from substrand import (
     FixedPointStream,
     Substitution,
     build_fs_family,
-    build_prefix_graph,
     decode_path,
     find_strong_coincidence,
     occurrences,
@@ -34,14 +33,11 @@ def main():
     print(f"power used: {prov.power}, connector {str(prov.connector)!r}, target {prov.target_letter!r}")
     print("generators:", family.generators)
     sigma = pair.power(prov.power)
-    graph = build_prefix_graph(sigma)
     for path, value in zip(prov.paths, family.generators):
-        print(f"  path {path.to_json_dict()['labels']} decodes to {decode_path(graph, path, materialize=False).value} = {value}")
+        print(f"  path {path.to_json_dict()['labels']} decodes to {decode_path(sigma, path, materialize=False).value} = {value}")
 
     horizon = sum(family.generators) + 2
-    verification = verify_finite_sums(
-        family, build_prefix_graph(pair), "a", "b", horizon, max_subset_size=3
-    )
+    verification = verify_finite_sums(family, pair, "a", "b", horizon, max_subset_size=3)
     print(f"all subset sums up to size 3 below horizon {horizon}: {verification.verdict}")
     print()
 
@@ -56,7 +52,7 @@ def main():
         for mask in range(1, 8)
     )
     print("its 7 subset sums:", sums)
-    print("verified:", verify_finite_sums(found, build_prefix_graph(fib), "a", "a", 20, 3).verdict)
+    print("verified:", verify_finite_sums(found, fib, "a", "a", 20, 3).verdict)
 
 
 if __name__ == "__main__":

@@ -36,9 +36,9 @@ _EXPORTS = {
         "delta_value_set", "BalancedPairClosure", "balanced_pair_closure",
     ),
     "numeration": (
-        "PrefixGraph", "PrefixEdge", "PathRepresentation", "DecodedValue",
-        "SynchronizingScan", "build_prefix_graph", "decode_path", "encode_integer",
-        "enumerate_paths", "letter_at", "synchronizing_scan", "format_path", "parse_path",
+        "PathRepresentation", "DecodedValue", "SynchronizingScan", "prefix_automaton",
+        "decode_path", "encode_integer", "enumerate_paths", "letter_at",
+        "synchronizing_scan", "format_path", "parse_path",
     ),
     "ipsets": (
         "FsFamily", "FsProvenance", "FsVerification", "build_fs_family",

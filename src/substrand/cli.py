@@ -43,7 +43,7 @@ keeps an uncapped horizon: it also bounds the subset sums, which it reads
 off the prefix automaton; its ``--seeds`` witness is searched below
 ``MATERIALIZE_CAP`` at most. ``num list --count`` and the width hi - lo + 1 of
 ``num sync --range`` are capped at ``NUMERATION_CAP`` = 10**6 values: a
-larger value exits 2 before the prefix automaton is built. The last strand
+larger value exits 2 before any path is walked. The last strand
 of ``strand scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6
 segments: one more exits 2 before any strand is inflated. The weight column of ``num
 graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, counted from
@@ -239,16 +239,15 @@ def _cmd_num_graph(args, sub: Substitution):
     from . import numeration
 
     if args.weights is None:
-        return 0, numeration.build_prefix_graph(sub).to_json_dict(), None
+        return 0, numeration.prefix_automaton(sub), None
     if args.weights < 0:
         raise InputError(f"--weights must be >= 0, got {args.weights}")
     _check_weight_digits(sub, args.weights)
-    graph = numeration.build_prefix_graph(sub)
     rows = ["letter,prefix,level,weight"]
     for letter in sub.alphabet:
         image = sub.image(letter)
         for prefix in (image[:k] for k in range(len(image))):
-            rows += (f"{letter},{prefix},{level},{graph.weight(level, prefix)}"
+            rows += (f"{letter},{prefix},{level},{sub.image_length(prefix, level)}"
                      for level in range(args.weights + 1))
     return 0, None, "\n".join(rows)
 
@@ -269,9 +268,8 @@ def _check_weight_digits(sub: Substitution, levels: int) -> None:
 def _cmd_num_encode(args, sub: Substitution):
     from . import numeration
 
-    graph = numeration.build_prefix_graph(sub)
-    path = numeration.encode_integer(graph, args.start, args.value)
-    rendered = numeration.format_path(path, sub.alphabet)
+    path = numeration.encode_integer(sub, args.start, args.value)
+    rendered = numeration.format_path(path)
     labels = [str(u) for u in path.labels]
     return 0, {"value": args.value, "start": args.start, "path": rendered, "labels": labels}, rendered
 
@@ -283,9 +281,8 @@ def _cmd_num_decode(args, sub: Substitution):
     if realize_cap < 0:
         raise InputError(f"--max-realize must be >= 0, got {realize_cap}")
     _check_cap("--max-realize", realize_cap)
-    graph = numeration.build_prefix_graph(sub)
     path = numeration.parse_path(sub, args.path)
-    decoded = numeration.decode_path(graph, path, realize_cap=realize_cap)
+    decoded = numeration.decode_path(sub, path, realize_cap=realize_cap)
     return 0, decoded.to_json_dict, lambda: str(decoded.value)
 
 
@@ -293,9 +290,8 @@ def _cmd_num_list(args, sub: Substitution):
     from . import numeration
 
     _check_cap("--count", args.count, NUMERATION_CAP, "values")
-    graph = numeration.build_prefix_graph(sub)
-    paths = numeration.enumerate_paths(graph, args.start, args.count)
-    rendered = [numeration.format_path(p, sub.alphabet) for p in paths]
+    paths = numeration.enumerate_paths(sub, args.start, args.count)
+    rendered = [numeration.format_path(p) for p in paths]
     return 0, {"start": args.start, "paths": rendered}, (
         lambda: "\n".join(f"{k}\t{r}" for k, r in enumerate(rendered)))
 
@@ -305,8 +301,7 @@ def _cmd_num_sync(args, sub: Substitution):
 
     lo, hi = args.range
     _check_cap("--range width", hi - lo + 1, NUMERATION_CAP, "values")
-    graph = numeration.build_prefix_graph(sub)
-    scan = numeration.synchronizing_scan(graph, *_parse_seeds(args.starts), (lo, hi))
+    scan = numeration.synchronizing_scan(sub, *_parse_seeds(args.starts), (lo, hi))
     return 0, scan.to_json_dict(), None
 
 
@@ -332,7 +327,7 @@ def _cmd_ipset_build(args, sub: Substitution):
 
 
 def _cmd_ipset_verify(args, sub: Substitution):
-    from . import ipsets, numeration
+    from . import ipsets
     from .words import require_seed_period
 
     horizon = _horizon(args)
@@ -361,9 +356,8 @@ def _cmd_ipset_verify(args, sub: Substitution):
         factor = family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)
-    graph = numeration.build_prefix_graph(sub.power(period))
     verification = ipsets.verify_finite_sums(
-        family, graph, start, factor, horizon, args.max_subset_size
+        family, sub.power(period), start, factor, horizon, args.max_subset_size
     )
     code = int(args.expect_pass and verification.verdict != "pass")
     return code, verification.to_json_dict, verification.to_text
@@ -398,8 +392,7 @@ def _strand_ingredients(args, sub: Substitution):
     # the length of sigma^k(word) never falls as k grows (no image is empty) and,
     # on the irreducible Pisot inputs the splitting accepts, passes any bound
     for level in range(1, args.iterations + 1):
-        lengths = sub.image_lengths(level)
-        segments = sum(lengths[i] for i in word.indices)
+        segments = sub.image_length(word, level)
         if segments > STRAND_CAP:
             raise InputError(f"--iterations {args.iterations} exceeds the cap of {STRAND_CAP} "
                              f"segments ({segments} after {level} inflations)")

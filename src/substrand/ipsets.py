@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InputError
-from .numeration import PathRepresentation, PrefixGraph, letter_at
+from .numeration import PathRepresentation, _require_period_one, letter_at
 from .words import Substitution, Word, abelianize, apply_substitution
 
 if TYPE_CHECKING:
@@ -88,11 +88,13 @@ def build_fs_family(
     """Generators n_i from a validated strong-coincidence witness.
 
     The power q is raised (up to POWER_CAP) until s c and t c are prefixes of
-    sigma^q(a) and sigma^q(b) and b occurs in sigma^q(c), whose prefix before
-    that b is the connector r. No image is empty, so the heads suffice:
-    sigma^q(w)[:m] = sigma(sigma^(q-1)(w)[:m])[:m]. Generators are exact
-    image lengths, n_i = |sigma^(q(2i+1))(s)| + |sigma^(2qi)(r)|: the value
-    under sigma^q of the path s, r, e, ..., e that the provenance keeps.
+    sigma^q(a) and sigma^q(b) and b occurs in sigma^q(c). No image is empty,
+    so the heads suffice: sigma^q(w)[:m] = sigma(sigma^(q-1)(w)[:m])[:m], and
+    the letters of sigma^q(c) are those of the images of the letters of
+    sigma^(q-1)(c). sigma^q(c) is built once, at the chosen q: its prefix
+    before the first b is the connector r. Generators are exact image
+    lengths, n_i = |sigma^(q(2i+1))(s)| + |sigma^(2qi)(r)|: the value under
+    sigma^q of the path s, r, e, ..., e that the provenance keeps.
     """
     if count < 0:
         raise InputError("count must be >= 0")
@@ -108,15 +110,16 @@ def build_fs_family(
     tc = t + alphabet.word(c)
     b_index = alphabet.index(b)
 
-    head_a, head_b, image_c = s[:1], t[:1], alphabet.word(c)
+    head_a, head_b, letters_c = s[:1], t[:1], {alphabet.index(c)}
     for power in range(1, POWER_CAP + 1):
         head_a = apply_substitution(sub, head_a)[: len(sc)]
         head_b = apply_substitution(sub, head_b)[: len(tc)]
-        image_c = apply_substitution(sub, image_c)
-        if head_a == sc and head_b == tc and b_index in image_c.indices:
+        letters_c = {e for d in letters_c for e in sub.image_indices(d)}
+        if head_a == sc and head_b == tc and b_index in letters_c:
             break
     else:
         raise InputError(f"no power of the substitution up to {POWER_CAP} embeds the witness")
+    image_c = apply_substitution(sub, c, power)
     connector = image_c[: image_c.indices.index(b_index)]
 
     s_counts, r_counts = abelianize(s), abelianize(connector)
@@ -181,27 +184,29 @@ class FsVerification(NamedTuple):
 
 
 def verify_finite_sums(
-    family: FsFamily, graph: PrefixGraph, start: str, factor: Word | str, horizon: int,
+    family: FsFamily, sub: Substitution, start: str, factor: Word | str, horizon: int,
     max_subset_size: int,
 ) -> FsVerification:
     """Test every nonempty subset (up to the size bound) for an occurrence.
 
-    Sum t is an occurrence when the letters at t, t + 1, ... of the fixed
-    point at ``start`` spell the factor; each is read off the prefix automaton
-    (:func:`letter_at`), so nothing is expanded. Sums past horizon - |factor|
-    are reported unchecked, as for a prefix of length ``horizon``. A family
-    without generators is refused: it has no subset to check.
+    ``start`` must be a period-1 seed of ``sub`` (pass sigma^p for a seed of
+    period p). Sum t is an occurrence when the letters at t, t + 1, ... of the
+    fixed point at ``start`` spell the factor; each is read off the prefix
+    automaton (:func:`letter_at`), so nothing is expanded. Sums past
+    horizon - |factor| are reported unchecked, as for a prefix of length
+    ``horizon``. A family without generators is refused: it has no subset to
+    check.
     """
     if not family.generators:
         raise InputError("the family has no generators, so there is no subset to check")
-    factor = graph.alphabet.word(factor)
+    factor = sub.alphabet.word(factor)
     if len(factor) == 0:
         raise InputError("factor must be nonempty")
     if horizon < len(factor):
         raise InputError("horizon must be at least the factor length")
     if max_subset_size < 1:
         raise InputError("max_subset_size must be >= 1")
-    graph.require_seed(start)
+    _require_period_one(sub, start)
     fit = horizon - len(factor)
     failures = []
     unchecked = []
@@ -210,7 +215,7 @@ def verify_finite_sums(
             total = sum(subset)
             if total > fit:
                 unchecked.append((subset, total))
-            elif any(letter_at(graph, start, total + i) != c for i, c in enumerate(str(factor))):
+            elif any(letter_at(sub, start, total + i) != c for i, c in enumerate(str(factor))):
                 failures.append((subset, total))
     verdict = "fail" if failures else "incomplete" if unchecked else "pass"
     return FsVerification(

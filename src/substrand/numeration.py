@@ -11,7 +11,8 @@ of the fixed point at the seed, and therefore for the integer equal to that
 prefix's length. Values are sums of exact image lengths
 (:meth:`substrand.words.Substitution.image_lengths`); the prefix word itself
 is only materialized on request (it can be astronomically long while the
-path stays short).
+path stays short). Every function takes the substitution itself and reads
+the edges it needs off the images; :func:`prefix_automaton` lists them all.
 
 Path text format: ``a: a.e.a`` (start vertex, dot-separated labels, empty
 label written ``e`` unless the alphabet uses the letter e, in which case the
@@ -20,82 +21,34 @@ empty token is used instead).
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import islice
 from typing import NamedTuple
 
 from .errors import InputError
+from .points import _longest_run
 from .words import Substitution, Word, apply_substitution, require_seed_period
 
 DEFAULT_REALIZE_CAP = 10**6
 
 
-class PrefixEdge(NamedTuple):
-    """Edge of the prefix automaton: label then target spell an image prefix."""
-
-    source: str
-    target: str
-    label: Word
-
-    def to_json_dict(self) -> dict:
-        return {"source": self.source, "target": self.target, "label": str(self.label)}
-
-
-class PrefixGraph:
-    """The prefix automaton of a substitution.
-
-    Out-edges of a vertex are ordered by label length (0, 1, 2, ...), one
-    edge per occurrence, so labels at a vertex have pairwise distinct
-    lengths; this is what makes the path order total.
-
-    Edges are read off the images when asked for, never stored: the labels
-    of an image of length L hold L(L-1)/2 letters in all, while a path
-    only ever needs one label per step.
-    """
-
-    def __init__(self, sub: Substitution):
-        self.substitution = sub
-        self.alphabet = sub.alphabet
-
-    def out_edges(self, vertex: str) -> tuple[PrefixEdge, ...]:
-        image = self.substitution.image(vertex)
-        return tuple(PrefixEdge(vertex, image[k], image[:k]) for k in range(len(image)))
-
-    def edge_target(self, vertex: str, label: Word) -> str:
-        """Target of the unique out-edge with this label, or an input error."""
-        image = self.substitution.image_indices(self.alphabet.index(vertex))
-        k = len(label)
-        if k < len(image) and label.alphabet == self.alphabet and image[:k] == label.indices:
-            return self.alphabet.letters[image[k]]
-        raise InputError(
-            f"no edge labeled {str(label)!r} at vertex {vertex!r}"
-        )
-
-    def weight(self, level: int, word: Word) -> int:
-        """Exact length of image^level(word): the word's letter counts dotted
-        with the level's image lengths."""
-        lengths = self.substitution.image_lengths(level)
-        return sum(lengths[a] * count for a, count in Counter(word.indices).items())
-
-    def require_seed(self, vertex: str) -> None:
-        period = require_seed_period(self.substitution, vertex)
-        if period != 1:
-            raise InputError(f"{vertex!r} is not a period-1 seed of this substitution; "
-                             f"its least period is {period}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": list(self.alphabet.letters),
-            "edges": [e.to_json_dict() for a in self.alphabet for e in self.out_edges(a)],
-        }
-
-    def __repr__(self) -> str:
-        return f"PrefixGraph({self.substitution.rules()!r})"
+def prefix_automaton(sub: Substitution) -> dict:
+    """The prefix automaton as JSON: its vertices, and one edge per (letter,
+    occurrence) pair, ordered by label length, so labels at a vertex have
+    pairwise distinct lengths; this is what makes the path order total.
+    Nothing else stores edges: the labels of an image of length L hold
+    L(L-1)/2 letters in all, while a path needs one label per step."""
+    edges = []
+    for a in sub.alphabet:
+        image = sub.image(a)
+        edges += ({"source": a, "target": image[k], "label": str(image[:k])} for k in range(len(image)))
+    return {"vertices": list(sub.alphabet.letters), "edges": edges}
 
 
-def build_prefix_graph(sub: Substitution) -> PrefixGraph:
-    """One edge per (letter, occurrence) pair, ordered by label length."""
-    return PrefixGraph(sub)
+def _require_period_one(sub: Substitution, vertex: str) -> None:
+    period = require_seed_period(sub, vertex)
+    if period != 1:
+        raise InputError(f"{vertex!r} is not a period-1 seed of this substitution; "
+                         f"its least period is {period}")
 
 
 class _PathFields(NamedTuple):
@@ -141,7 +94,7 @@ class DecodedValue(NamedTuple):
 
 
 def decode_path(
-    g: PrefixGraph,
+    sub: Substitution,
     path: PathRepresentation,
     materialize: bool = True,
     realize_cap: int = DEFAULT_REALIZE_CAP,
@@ -149,26 +102,30 @@ def decode_path(
     """Value, terminal vertex, and (optionally) the realized prefix of a path.
 
     The value is a sum of exact image lengths; the realized word is
-    built only when requested and no longer than realize_cap.
+    built only when requested and no longer than realize_cap. Each label
+    must be a proper prefix of the image of the vertex it leaves.
     """
-    if path.start not in g.alphabet:
+    alphabet = sub.alphabet
+    if path.start not in alphabet:
         raise InputError(f"start vertex {path.start!r} not in the alphabet")
-    vertex = path.start
-    n = len(path.labels) - 1
-    value = 0
+    vertex = alphabet.index(path.start)
+    n, value = len(path.labels) - 1, 0
     for i, label in enumerate(path.labels):
-        vertex = g.edge_target(vertex, label)
-        value += g.weight(n - i, label)
+        image, k = sub.image_indices(vertex), len(label)
+        if k >= len(image) or label.alphabet != alphabet or image[:k] != label.indices:
+            raise InputError(f"no edge labeled {str(label)!r} at vertex {alphabet.letters[vertex]!r}")
+        vertex = image[k]
+        value += sub.image_length(label, n - i)
     realized = None
     if materialize and value <= realize_cap:
-        word = Word(g.alphabet)
+        word = Word(alphabet)
         for label in path.labels:
-            word = apply_substitution(g.substitution, word) + label
+            word = apply_substitution(sub, word) + label
         realized = word
-    return DecodedValue(value, vertex, realized)
+    return DecodedValue(value, alphabet.letters[vertex], realized)
 
 
-def _greedy_walk(g: PrefixGraph, start_index: int, value: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+def _greedy_walk(sub: Substitution, start_index: int, value: int) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Label letter indices of the path of value, and the letter index it ends at.
 
     Greedy, most significant level first: at each level take the longest
@@ -178,7 +135,6 @@ def _greedy_walk(g: PrefixGraph, start_index: int, value: int) -> tuple[tuple[tu
     """
     if value == 0:
         return (), start_index
-    sub = g.substitution
     levels = 0
     while sub.image_lengths(levels + 1)[start_index] <= value:
         levels += 1
@@ -207,36 +163,36 @@ def _greedy_walk(g: PrefixGraph, start_index: int, value: int) -> tuple[tuple[tu
     return tuple(labels), vertex_index
 
 
-def _path(g: PrefixGraph, start: str, labels: tuple[tuple[int, ...], ...]) -> PathRepresentation:
-    return PathRepresentation(start, tuple(Word(g.alphabet, label) for label in labels))
+def _path(sub: Substitution, start: str, labels: tuple[tuple[int, ...], ...]) -> PathRepresentation:
+    return PathRepresentation(start, tuple(Word(sub.alphabet, label) for label in labels))
 
 
-def encode_integer(g: PrefixGraph, start: str, value: int) -> PathRepresentation:
+def encode_integer(sub: Substitution, start: str, value: int) -> PathRepresentation:
     """The unique proper path at the seed whose value is the given integer.
 
     Greedy digits (see :func:`_greedy_walk`). Specializes to the greedy
     Zeckendorf expansion in the Fibonacci case and to base-k digits for
     uniform length-k substitutions.
     """
-    g.require_seed(start)
+    _require_period_one(sub, start)
     if value < 0:
         raise InputError("value must be >= 0")
-    labels, _ = _greedy_walk(g, g.alphabet.index(start), value)
-    return _path(g, start, labels)
+    labels, _ = _greedy_walk(sub, sub.alphabet.index(start), value)
+    return _path(sub, start, labels)
 
 
-def letter_at(g: PrefixGraph, start: str, value: int) -> str:
+def letter_at(sub: Substitution, start: str, value: int) -> str:
     """Letter x_v of the fixed point at the seed, v = ``value``: the path of v
     ends at x_v (Dumont & Thomas, Theor. Comput. Sci. 65, 1989), so this is
     one greedy walk of O(log v) steps that builds no path and expands nothing."""
-    g.require_seed(start)
+    _require_period_one(sub, start)
     if value < 0:
         raise InputError("value must be >= 0")
-    _, terminal = _greedy_walk(g, g.alphabet.index(start), value)
-    return g.alphabet.letters[terminal]
+    _, terminal = _greedy_walk(sub, sub.alphabet.index(start), value)
+    return sub.alphabet.letters[terminal]
 
 
-def _walks(g: PrefixGraph, start_index: int, lo: int):
+def _walks(sub: Substitution, start_index: int, lo: int):
     """Odometer of the numeration (Dumont & Thomas, Theor. Comput. Sci. 65,
     1989): the paths of lo, lo + 1, ... at the seed, each as the live label
     list, which the next step overwrites, and the terminal letter index.
@@ -245,8 +201,8 @@ def _walks(g: PrefixGraph, start_index: int, lo: int):
     grow by one letter and resets the levels below it to empty labels; when
     none can grow, the path gains a top level with a one-letter label.
     """
-    images = [g.substitution.image_indices(i) for i in range(len(g.alphabet))]
-    labels, terminal = _greedy_walk(g, start_index, lo)
+    images = [sub.image_indices(i) for i in range(len(sub.alphabet))]
+    labels, terminal = _greedy_walk(sub, start_index, lo)
     labels, vertices, vertex = list(labels), [], start_index
     for label in labels:
         vertices.append(vertex)
@@ -266,18 +222,18 @@ def _walks(g: PrefixGraph, start_index: int, lo: int):
             terminal = images[terminal][0]
 
 
-def enumerate_paths(g: PrefixGraph, start: str, count: int) -> list[PathRepresentation]:
+def enumerate_paths(sub: Substitution, start: str, count: int) -> list[PathRepresentation]:
     """The first ``count`` paths at the seed in the total path order.
 
     Paths are ordered by label count, then lexicographically by label
     length; the k-th path (from 0) has value k. Stepped through by the
     odometer from the empty path (see :func:`_walks`).
     """
-    g.require_seed(start)
+    _require_period_one(sub, start)
     if count < 1:
         raise InputError("count must be >= 1")
-    walks = _walks(g, g.alphabet.index(start), 0)
-    return [_path(g, start, labels) for labels, _ in islice(walks, count)]
+    walks = _walks(sub, sub.alphabet.index(start), 0)
+    return [_path(sub, start, labels) for labels, _ in islice(walks, count)]
 
 
 class SynchronizingEntry(NamedTuple):
@@ -318,36 +274,31 @@ class SynchronizingScan(NamedTuple):
 
 
 def synchronizing_scan(
-    g: PrefixGraph, start_a: str, start_b: str, value_range: tuple[int, int]
+    sub: Substitution, start_a: str, start_b: str, value_range: tuple[int, int]
 ) -> SynchronizingScan:
     """Which integers in [lo, hi] have same-terminal paths from both seeds.
 
     One odometer per seed steps through the range (see :func:`_walks`), and
-    paths are built only for the values listed. Long runs of consecutive
-    synchronizing integers are the desk-scale shadow of thickness of the
-    synchronizing value set.
+    paths are built only for the values listed; the longest run is read off
+    a 1-byte-per-value agreement mask by :func:`substrand.points._longest_run`.
+    Long runs of consecutive synchronizing integers are the desk-scale shadow
+    of thickness of the synchronizing value set.
     """
-    g.require_seed(start_a)
-    g.require_seed(start_b)
+    _require_period_one(sub, start_a)
+    _require_period_one(sub, start_b)
     lo, hi = value_range
     if lo < 0 or hi < lo:
         raise InputError("range must satisfy 0 <= lo <= hi")
-    index_a = g.alphabet.index(start_a)
-    index_b = g.alphabet.index(start_b)
-    entries = []
-    run = max_run = 0
-    previous = None
-    walks = zip(range(lo, hi + 1), _walks(g, index_a, lo), _walks(g, index_b, lo))
+    letters, index_a, index_b = sub.alphabet.letters, sub.alphabet.index(start_a), sub.alphabet.index(start_b)
+    entries, agree = [], bytearray(hi - lo + 1)
+    walks = zip(range(lo, hi + 1), _walks(sub, index_a, lo), _walks(sub, index_b, lo))
     for value, (labels_a, terminal_a), (labels_b, terminal_b) in walks:
         if terminal_a == terminal_b:
+            agree[value - lo] = 1
             entries.append(SynchronizingEntry(
-                value, g.alphabet.letters[terminal_a],
-                _path(g, start_a, labels_a), _path(g, start_b, labels_b),
+                value, letters[terminal_a], _path(sub, start_a, labels_a), _path(sub, start_b, labels_b),
             ))
-            run = run + 1 if previous == value - 1 else 1
-            previous = value
-            max_run = max(max_run, run)
-    return SynchronizingScan(start_a, start_b, lo, hi, tuple(entries), max_run)
+    return SynchronizingScan(start_a, start_b, lo, hi, tuple(entries), _longest_run(agree, 1, 0, len(agree)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,12 +307,10 @@ def synchronizing_scan(
 EMPTY_LABEL_TOKEN = "e"
 
 
-def format_path(path: PathRepresentation, alphabet=None) -> str:
+def format_path(path: PathRepresentation) -> str:
     """Render ``a: a.e.a``; empty labels use ``e`` unless e is a letter."""
     labels = path.labels
-    if alphabet is None and labels:
-        alphabet = labels[0].alphabet
-    empty_token = "" if (alphabet is not None and "e" in alphabet) else EMPTY_LABEL_TOKEN
+    empty_token = "" if labels and "e" in labels[0].alphabet else EMPTY_LABEL_TOKEN
     body = ".".join(str(u) if len(u) else empty_token for u in labels)
     return f"{path.start}: {body}" if body else f"{path.start}:"
 

@@ -24,6 +24,7 @@ NONE_FOUND = "NoneFound"
 
 _BLOCK_CELLS = 1 << 16  # letters per block of the agreement and occurrence scans: bounds memory
 _ZERO_TO_ONE = bytes([1]) + bytes(255)  # translation table: a zero byte becomes 1, any other 0
+_RUN_NEEDLE = 1 << 16  # longest needle _longest_run searches with: bounds its memory
 
 
 def _zero_letters(diff: int, letters: int, width: int) -> bytes:
@@ -38,12 +39,13 @@ def _zero_letters(diff: int, letters: int, width: int) -> bytes:
 
 def _longest_run(mask: bytearray, byte: int, start: int, end: int) -> int:
     """The longest run of ``byte`` in mask[start:end], a mask of 0 and 1 bytes:
-    each find jumps to the next run longer than the longest so far, so the
-    finds read the mask once."""
+    each find jumps to the next run of at least min(longest so far + 1,
+    _RUN_NEEDLE) bytes, so the finds read the mask once."""
     longest = 0
-    while (start := mask.find(bytes([byte]) * (longest + 1), start, end)) >= 0:
+    while (start := mask.find(bytes([byte]) * min(longest + 1, _RUN_NEEDLE), start, end)) >= 0:
         stop = mask.find(1 - byte, start, end)
-        start, longest = (end, end - start) if stop < 0 else (stop, stop - start)
+        stop = end if stop < 0 else stop
+        start, longest = stop, max(longest, stop - start)
     return longest
 
 

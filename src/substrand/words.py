@@ -197,6 +197,12 @@ class Substitution:
             lengths.append([sum(previous[b] * count for b, count in column) for column in self._counts])
         return lengths[level]
 
+    def image_length(self, word: Word, level: int) -> int:
+        """Exact |image^level(word)|: the word's letter counts dotted with
+        :meth:`image_lengths` of the level."""
+        lengths = self.image_lengths(level)
+        return sum(lengths[a] * count for a, count in Counter(word.indices).items())
+
     def rules(self) -> dict[str, str]:
         letters = self.alphabet.letters
         return {a: "".join(letters[i] for i in self._images[k]) for k, a in enumerate(letters)}

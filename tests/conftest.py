@@ -15,7 +15,6 @@ from substrand import (
     Word,
     abelianization_matrix,
     apply_substitution,
-    build_prefix_graph,
     decode_path,
     find_strong_coincidence,
 )
@@ -143,17 +142,16 @@ def oracle_weight(sub, level, word):
     return sum(lengths[a] for a in word.indices)
 
 
-def oracle_enumerate_paths(g, start, count):
+def oracle_enumerate_paths(sub, start, count):
     """The first ``count`` paths at a period-1 seed, generated recursively
     from the path order (label count, then label lengths lexicographically,
     first label nonempty): the enumerator the library ran before its
     odometer."""
     out = [PathRepresentation(start, ())]
-    sub = g.substitution
 
     def extend(vertex_index, labels, remaining_levels):
         if remaining_levels == 0:
-            out.append(PathRepresentation(start, tuple(Word(g.alphabet, l) for l in labels)))
+            out.append(PathRepresentation(start, tuple(Word(sub.alphabet, l) for l in labels)))
             return len(out) < count
         image = sub.image_indices(vertex_index)
         for k in range(len(image)):
@@ -167,7 +165,7 @@ def oracle_enumerate_paths(g, start, count):
         return True
 
     n_labels = 1
-    while len(out) < count and extend(g.alphabet.index(start), [], n_labels):
+    while len(out) < count and extend(sub.alphabet.index(start), [], n_labels):
         n_labels += 1
     return out[:count]
 
@@ -349,10 +347,9 @@ def oracle_build_fs_family(sub, witness, count):
         raise InputError(f"no power of the substitution up to {POWER_CAP} embeds the witness")
     sigma = sub.power(power)
     connector = sigma.image(c)[: image_c.index(b)]
-    graph = build_prefix_graph(sigma)
     empty = Word(sub.alphabet)
     paths = tuple(PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count))
-    generators = tuple(decode_path(graph, p, materialize=False).value for p in paths)
+    generators = tuple(decode_path(sigma, p, materialize=False).value for p in paths)
     return FsFamily(generators, FsProvenance(power, s, t, c, connector, b, a, paths))
 
 

@@ -24,7 +24,6 @@ from substrand import (
     abelianize,
     apply_substitution,
     build_fs_family,
-    build_prefix_graph,
     build_strand,
     classify,
     decode_path,
@@ -147,28 +146,26 @@ def test_criterion_3_round_trip():
         (Substitution(TWO_SCALE), "b"),
     ]
     for sub, seed in systems:
-        graph = build_prefix_graph(sub)
         for value in range(10_001):
-            path = encode_integer(graph, seed, value)
-            assert decode_path(graph, path, materialize=False).value == value
+            path = encode_integer(sub, seed, value)
+            assert decode_path(sub, path, materialize=False).value == value
         stream = FixedPointStream(sub, seed)
         prefix = stream.prefix_text(1001)
         for value in range(1001):
-            realized = decode_path(graph, encode_integer(graph, seed, value)).realized
+            realized = decode_path(sub, encode_integer(sub, seed, value)).realized
             assert str(realized) == prefix[:value]
 
     # published anchors: the first nine Fibonacci paths, and both paths for 5
-    fib_graph = build_prefix_graph(Substitution(FIBONACCI))
-    listing = [format_path(p) for p in enumerate_paths(fib_graph, "a", 9)]
+    fibonacci = Substitution(FIBONACCI)
+    listing = [format_path(p) for p in enumerate_paths(fibonacci, "a", 9)]
     assert listing == [
         "a:", "a: a", "a: a.e", "a: a.e.e", "a: a.e.a",
         "a: a.e.e.e", "a: a.e.e.a", "a: a.e.a.e", "a: a.e.e.e.e",
     ]
     two = Substitution(TWO_SCALE)
-    graph2 = build_prefix_graph(two)
-    from_a = decode_path(graph2, encode_integer(graph2, "a", 5))
-    from_b = decode_path(graph2, encode_integer(graph2, "b", 5))
-    assert str(from_a.realized) == "aabaa" and [str(u) for u in encode_integer(graph2, "a", 5).labels] == ["a", "aa"]
+    from_a = decode_path(two, encode_integer(two, "a", 5))
+    from_b = decode_path(two, encode_integer(two, "b", 5))
+    assert str(from_a.realized) == "aabaa" and [str(u) for u in encode_integer(two, "a", 5).labels] == ["a", "aa"]
     assert str(from_b.realized) == "bbaab"
     assert from_a.terminal == from_b.terminal == "b"
 
@@ -191,12 +188,12 @@ def test_criterion_4_degenerations():
             idx -= 2  # skip the adjacent Fibonacci number
         return out
 
-    fib_graph = build_prefix_graph(Substitution(FIBONACCI))
+    fibonacci = Substitution(FIBONACCI)
     for value in range(1001):
-        path = encode_integer(fib_graph, "a", value)
+        path = encode_integer(fibonacci, "a", value)
         n = len(path.labels) - 1
         used = [
-            (n - i, fib_graph.weight(n - i, label))
+            (n - i, fibonacci.image_length(label, n - i))
             for i, label in enumerate(path.labels)
             if len(label)
         ]
@@ -208,9 +205,9 @@ def test_criterion_4_degenerations():
         assert sorted(weights, reverse=True) == zeckendorf(value)
 
     # uniform length-2 substitution: label lengths are the binary digits
-    tm_graph = build_prefix_graph(Substitution(THUE_MORSE))
+    thue_morse = Substitution(THUE_MORSE)
     for value in range(1001):
-        path = encode_integer(tm_graph, "a", value)
+        path = encode_integer(thue_morse, "a", value)
         digits = [len(label) for label in path.labels]
         expected = [int(d) for d in bin(value)[2:]] if value else []
         assert digits == expected
@@ -258,7 +255,7 @@ def test_criterion_6_ip():
     assert family.generators[1] == expected_n1 == 1097
 
     horizon = sum(family.generators) + 2
-    verification = verify_finite_sums(family, build_prefix_graph(pair), "a", "b", horizon, 2)
+    verification = verify_finite_sums(family, pair, "a", "b", horizon, 2)
     assert verification.verdict == "pass"
 
     fib = Substitution(FIBONACCI)
@@ -266,7 +263,7 @@ def test_criterion_6_ip():
     focc = occurrences(fx, "a", 20)
     searched = search_ip_witness(focc, 3)
     assert searched is not None and len(searched.generators) == 3
-    check = verify_finite_sums(searched, build_prefix_graph(fib), "a", "a", 20, 3)
+    check = verify_finite_sums(searched, fib, "a", "a", 20, 3)
     assert check.verdict == "pass"
     assert len(check.failures) == 0 and len(check.unchecked) == 0
 

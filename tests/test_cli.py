@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 import substrand
-from substrand import FixedPointStream, InputError, cli, coincidence, numeration, points, strand
+from substrand import FixedPointStream, InputError, Substitution, cli, coincidence, numeration, points, strand
 from substrand.cli import MATERIALIZE_CAP, NUMERATION_CAP, main
 from substrand.words import parse_substitution_spec
 from conftest import (
@@ -169,7 +169,7 @@ def test_num_weights_cap_exits_2_before_any_weight(capsys, monkeypatch, fib_spec
         raise AssertionError("computed a weight past the cap")
 
     with monkeypatch.context() as mp:
-        mp.setattr(numeration.PrefixGraph, "weight", refuse)
+        mp.setattr(Substitution, "image_length", refuse)
         assert main(["num", "graph", fib_spec, "--weights", "1000000"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -955,7 +955,7 @@ def test_numeration_cap_exits_2_before_building_the_graph(capsys, monkeypatch, f
 
     over = NUMERATION_CAP + 1
     with monkeypatch.context() as mp:
-        for name in ("build_prefix_graph", "enumerate_paths", "synchronizing_scan"):
+        for name in ("enumerate_paths", "synchronizing_scan"):
             mp.setattr(numeration, name, refuse)
         assert main(["num", "list", fib_spec, "--start", "a", "--count", str(over)]) == 2
         assert capsys.readouterr().err == f"error: --count {over} exceeds the cap of {NUMERATION_CAP} values\n"
@@ -963,10 +963,10 @@ def test_numeration_cap_exits_2_before_building_the_graph(capsys, monkeypatch, f
         assert capsys.readouterr().err == f"error: --range width {over} exceeds the cap of {NUMERATION_CAP} values\n"
     # the cap itself is accepted; the scans are stubbed so nothing that large runs
     calls = []
-    monkeypatch.setattr(numeration, "enumerate_paths", lambda g, start, count: calls.append(count) or [])
+    monkeypatch.setattr(numeration, "enumerate_paths", lambda sub, start, count: calls.append(count) or [])
     monkeypatch.setattr(
         numeration, "synchronizing_scan",
-        lambda g, a, b, value_range: calls.append(value_range) or SimpleNamespace(to_json_dict=dict),
+        lambda sub, a, b, value_range: calls.append(value_range) or SimpleNamespace(to_json_dict=dict),
     )
     assert main(["num", "list", fib_spec, "--start", "a", "--count", str(NUMERATION_CAP)]) == 0
     assert main(["num", "sync", fib_spec, "--starts", "a,b", "--range", f"5:{4 + NUMERATION_CAP}"]) == 0
@@ -1075,7 +1075,7 @@ def test_package_names_load_on_first_use():
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[] True 70"
+    assert result.stdout.strip() == "[] True 68"
     with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
         substrand.nonesuch
 
@@ -1148,3 +1148,37 @@ def test_closed_stdout_exits_quietly(fib_spec):
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+_NO_PAIR = '{\n  "family": null,\n  "horizon": 100,\n  "witness": null\n}\n'
+
+
+@pytest.mark.parametrize("env, argv, code, out, err", [
+    pytest.param({"SUBSTRAND_HORIZON": "0"}, ["occurrences", "fib_spec", "--seed", "a", "--factor", "a"],
+                 2, "", "error: SUBSTRAND_HORIZON must be >= 1\n", id="horizon-variable-0"),
+    pytest.param({}, ["proximal", "pair_spec", "--seeds", "a"],
+                 2, "", "error: --seeds expects two letters like 'a,b', got 'a'\n", id="proximal-one-seed"),
+    pytest.param({}, ["proximal", "pair_spec", "--seeds", "a,b", "--min-window", "0"],
+                 2, "", "error: min_window must be >= 1\n", id="proximal-min-window-0"),
+    pytest.param({}, ["num", "sync", "pair_spec", "--starts", "a,b", "--range", "5"], 2, "",
+                 "usage: substrand num sync [-h] [--output OUTPUT] --starts STARTS --range LO:HI\n"
+                 "                          spec\n"
+                 "substrand num sync: error: argument --range: expected LO:HI, got '5'\n", id="sync-range-no-colon"),
+    pytest.param({}, ["ipset", "verify", "fib_spec", "--generators", "x", "--seed", "a", "--factor", "a"],
+                 2, "", "error: --generators expects integers, got 'x'\n", id="verify-generators-not-integers"),
+    pytest.param({}, ["ipset", "verify", "fib_spec"],
+                 2, "", "error: provide either --generators with --seed/--factor, or --seeds\n", id="verify-no-family"),
+    pytest.param({}, ["ipset", "verify", "fib_spec", "--generators", "1,2"],
+                 2, "", "error: --generators needs --seed and --factor\n", id="verify-generators-no-seed"),
+    pytest.param({}, ["strand", "export", "fib_spec"],
+                 2, "", "error: strand export needs --csv and/or --svg\n", id="export-no-file"),
+    pytest.param({}, ["ipset", "build", "tm_spec", "--seeds", "a,b", "--horizon", "100"],
+                 1, _NO_PAIR, "", id="build-complement-pair"),
+])
+def test_input_errors_exit_with_their_message(capsys, monkeypatch, request, env, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage line to the terminal width
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    argv = [request.getfixturevalue(a) if a.endswith("_spec") else a for a in argv]
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)

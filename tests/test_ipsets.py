@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from substrand import (
+    CoincidenceWitness,
     FixedPointStream,
     FsFamily,
     InputError,
@@ -12,8 +13,8 @@ from substrand import (
     Substitution,
     Word,
     abelianization_matrix,
+    apply_substitution,
     build_fs_family,
-    build_prefix_graph,
     decode_path,
     find_strong_coincidence,
     is_primitive,
@@ -21,6 +22,7 @@ from substrand import (
     search_ip_witness,
     verify_finite_sums,
 )
+from substrand import ipsets
 from substrand.ipsets import POWER_CAP, SEARCHED
 from conftest import oracle_build_fs_family, oracle_verify_finite_sums, seeded_pairs
 
@@ -74,9 +76,8 @@ def test_generators_agree_with_path_decoder(pair_witness):
     sub, _, witness = pair_witness
     family = build_fs_family(sub, witness, 3)
     sigma = sub.power(family.provenance.power)
-    g = build_prefix_graph(sigma)
     for path, value in zip(family.provenance.paths, family.generators):
-        assert decode_path(g, path, materialize=False).value == value
+        assert decode_path(sigma, path, materialize=False).value == value
 
 
 def test_abelian_twin_paths_have_equal_values(pair_witness):
@@ -85,13 +86,12 @@ def test_abelian_twin_paths_have_equal_values(pair_witness):
     family = build_fs_family(sub, witness, 3)
     prov = family.provenance
     sigma = sub.power(prov.power)
-    g = build_prefix_graph(sigma)
     empty = Word(sub.alphabet)
     for i, value in enumerate(family.generators):
         twin = PathRepresentation(
             prov.target_letter, (prov.prefix_y, prov.connector) + (empty,) * (2 * i)
         )
-        assert decode_path(g, twin, materialize=False).value == value
+        assert decode_path(sigma, twin, materialize=False).value == value
 
 
 # most drawn rules are not primitive or have no witness below the horizon
@@ -158,11 +158,29 @@ def test_refused_witness_gets_the_oracle_error(pair_witness):
         assert _family_or_error(oracle_build_fs_family, sub, tampered, count) == message
 
 
+def test_a_witness_that_never_embeds_builds_no_full_image(monkeypatch):
+    # b never leads sigma^q(b), so no power embeds the witness; the images of
+    # a reach 2**32 letters by POWER_CAP, and only their heads and letter sets
+    # are needed to find that out
+    sub = Substitution({"a": "aaab", "b": "bbba"}).power(2)
+    assert sub.image_lengths(POWER_CAP)[0] == 2**32
+    witness = CoincidenceWitness(1, "a", sub.alphabet.word("b"), sub.alphabet.word("a"))
+
+    def small_images(*args):
+        image = apply_substitution(*args)
+        if len(image) > 1000:
+            raise AssertionError(f"built an image of {len(image)} letters")
+        return image
+
+    monkeypatch.setattr(ipsets, "apply_substitution", small_images)
+    with pytest.raises(InputError, match=f"^no power of the substitution up to {POWER_CAP} embeds the witness$"):
+        build_fs_family(sub, witness, 2)
+
+
 def test_verify_finite_sums_pass(pair_witness):
     sub, x, witness = pair_witness
     family = build_fs_family(sub, witness, 2)
-    graph = build_prefix_graph(sub)
-    verification = verify_finite_sums(family, graph, "a", "b", sum(family.generators) + 10, 2)
+    verification = verify_finite_sums(family, sub, "a", "b", sum(family.generators) + 10, 2)
     assert verification.verdict == "pass"
     assert verification.failures == () and verification.unchecked == ()
 
@@ -171,8 +189,7 @@ def test_three_generators_all_subsets_occur(pair_witness):
     # exhaustive check through subset size 3 on a three-generator family
     sub, x, witness = pair_witness
     family = build_fs_family(sub, witness, 3)
-    graph = build_prefix_graph(sub)
-    verification = verify_finite_sums(family, graph, "a", "b", sum(family.generators) + 2, 3)
+    verification = verify_finite_sums(family, sub, "a", "b", sum(family.generators) + 2, 3)
     assert verification.verdict == "pass"
 
 
@@ -180,37 +197,34 @@ def test_verify_reports_unchecked_when_horizon_short(pair_witness):
     sub, x, witness = pair_witness
     family = build_fs_family(sub, witness, 2)
     # horizon too short for 1097 and 1120
-    verification = verify_finite_sums(family, build_prefix_graph(sub), "a", "b", 100, 2)
+    verification = verify_finite_sums(family, sub, "a", "b", 100, 2)
     assert verification.verdict == "incomplete"
     assert all(total > 100 - 1 for _, total in verification.unchecked)
     assert verification.failures == ()
 
 
 def test_verify_failure(fibonacci):
-    graph = build_prefix_graph(fibonacci)
-    verification = verify_finite_sums(FsFamily((1,), "searched"), graph, "a", "a", 50, 1)
+    verification = verify_finite_sums(FsFamily((1,), "searched"), fibonacci, "a", "a", 50, 1)
     assert verification.verdict == "fail"
     assert verification.failures == (((1,), 1),)
 
 
 def test_verify_refuses_an_empty_family(fibonacci):
     # no generators means no subset is checked: a pass would claim nothing
-    graph = build_prefix_graph(fibonacci)
     with pytest.raises(InputError, match="the family has no generators"):
-        verify_finite_sums(FsFamily((), "searched"), graph, "a", "a", 50, 3)
+        verify_finite_sums(FsFamily((), "searched"), fibonacci, "a", "a", 50, 3)
 
 
 def test_verify_rejects_bad_input(fibonacci):
-    graph = build_prefix_graph(fibonacci)
     family = FsFamily((2,), SEARCHED)
     with pytest.raises(InputError, match="factor must be nonempty"):
-        verify_finite_sums(family, graph, "a", "", 10, 1)
+        verify_finite_sums(family, fibonacci, "a", "", 10, 1)
     with pytest.raises(InputError, match="horizon must be at least the factor length"):
-        verify_finite_sums(family, graph, "a", "ab", 1, 1)
+        verify_finite_sums(family, fibonacci, "a", "ab", 1, 1)
     with pytest.raises(InputError, match="max_subset_size must be >= 1"):
-        verify_finite_sums(family, graph, "a", "a", 10, 0)
+        verify_finite_sums(family, fibonacci, "a", "a", 10, 0)
     with pytest.raises(InputError, match="not a periodic seed"):
-        verify_finite_sums(family, graph, "b", "a", 10, 1)
+        verify_finite_sums(family, fibonacci, "b", "a", 10, 1)
     with pytest.raises(InputError, match="generators must be >= 0"):
         FsFamily((-3, 5), SEARCHED)
 
@@ -240,8 +254,7 @@ def test_verify_finite_sums_matches_the_occurrence_set_oracle(point, data):
     drawn = data.draw(st.sets(st.one_of(value, st.integers(0, horizon + 2)), max_size=3))
     generators = tuple(sorted(drawn | {edge}))
     size = data.draw(st.integers(1, 4), label="max subset size")
-    graph = build_prefix_graph(sub.power(period))
-    got = verify_finite_sums(FsFamily(generators, SEARCHED), graph, seed, factor, horizon, size)
+    got = verify_finite_sums(FsFamily(generators, SEARCHED), sub.power(period), seed, factor, horizon, size)
     expected = oracle_verify_finite_sums(generators, occ, size)
     assert (got.failures, got.unchecked) == expected
     assert got.verdict == ("fail" if expected[0] else "incomplete" if expected[1] else "pass")
@@ -254,8 +267,7 @@ def test_search_finds_small_family(fibonacci):
     family = search_ip_witness(occ, 3)
     assert family is not None and family.provenance == "searched"
     assert len(family.generators) == 3
-    graph = build_prefix_graph(fibonacci)
-    assert verify_finite_sums(family, graph, "a", "a", 20, 3).verdict == "pass"
+    assert verify_finite_sums(family, fibonacci, "a", "a", 20, 3).verdict == "pass"
     single = search_ip_witness(occ, 1)
     assert single.generators == (2,)
 
@@ -282,8 +294,7 @@ def test_family_for_period_two_pair():
     target = family.provenance.target_letter
     text = x.prefix_text(max(family.generators) + 2)
     assert all(text[n] == target for n in family.generators)
-    graph = build_prefix_graph(sigma)
-    assert verify_finite_sums(family, graph, "a", target, sum(family.generators) + 2, 2).verdict == "pass"
+    assert verify_finite_sums(family, sigma, "a", target, sum(family.generators) + 2, 2).verdict == "pass"
 
 
 def test_family_requires_increasing_generators():

@@ -11,7 +11,6 @@ from substrand import (
     PathRepresentation,
     Substitution,
     Word,
-    build_prefix_graph,
     decode_path,
     encode_integer,
     enumerate_paths,
@@ -19,23 +18,23 @@ from substrand import (
     letter_at,
     list_periodic_seeds,
     parse_path,
+    prefix_automaton,
+    proximality_scan,
     synchronizing_scan,
 )
 from substrand.numeration import _greedy_walk, _walks
 
 
-def _edges(graph):
-    return [(e["source"], e["target"], e["label"]) for e in graph.to_json_dict()["edges"]]
+def _edges(sub):
+    return [(e["source"], e["target"], e["label"]) for e in prefix_automaton(sub)["edges"]]
 
 
 def test_fibonacci_graph(fibonacci):
-    g = build_prefix_graph(fibonacci)
-    assert _edges(g) == [("a", "a", ""), ("a", "b", "a"), ("b", "a", "")]
+    assert _edges(fibonacci) == [("a", "a", ""), ("a", "b", "a"), ("b", "a", "")]
 
 
 def test_two_letter_graph(aab_bbaab):
-    g = build_prefix_graph(aab_bbaab)
-    assert _edges(g) == [
+    assert _edges(aab_bbaab) == [
         ("a", "a", ""),
         ("a", "a", "a"),
         ("a", "b", "aa"),
@@ -48,56 +47,50 @@ def test_two_letter_graph(aab_bbaab):
 
 
 def test_degenerate_single_loop():
-    g = build_prefix_graph(Substitution({"a": "a"}))
-    assert _edges(g) == [("a", "a", "")]
+    sub = Substitution({"a": "a"})
+    assert _edges(sub) == [("a", "a", "")]
     with pytest.raises(InputError):
-        encode_integer(g, "a", 1)  # no infinite fixed point to index into
+        encode_integer(sub, "a", 1)  # no infinite fixed point to index into
 
 
 def test_decode_examples(fibonacci, aab_bbaab):
-    g = build_prefix_graph(fibonacci)
     A = fibonacci.alphabet
-    d = decode_path(g, PathRepresentation("a", (A.word("a"), Word(A), A.word("a"))))
+    d = decode_path(fibonacci, PathRepresentation("a", (A.word("a"), Word(A), A.word("a"))))
     assert (d.value, d.terminal, str(d.realized)) == (4, "b", "abaa")
-    empty = decode_path(g, PathRepresentation("a", ()))
+    empty = decode_path(fibonacci, PathRepresentation("a", ()))
     assert (empty.value, empty.terminal, str(empty.realized)) == (0, "a", "")
-    g2 = build_prefix_graph(aab_bbaab)
     B = aab_bbaab.alphabet
-    d2 = decode_path(g2, PathRepresentation("a", (B.word("a"), B.word("aa"))))
+    d2 = decode_path(aab_bbaab, PathRepresentation("a", (B.word("a"), B.word("aa"))))
     assert (d2.value, str(d2.realized)) == (5, "aabaa")
 
 
 def test_decode_errors(fibonacci):
-    g = build_prefix_graph(fibonacci)
     A = fibonacci.alphabet
     with pytest.raises(InputError):
-        decode_path(g, PathRepresentation("a", (A.word("ab"),)))  # no such label
+        decode_path(fibonacci, PathRepresentation("a", (A.word("ab"),)))  # no such label
     with pytest.raises(InputError):
         PathRepresentation("a", (Word(A), A.word("a")))  # improper leading empty
 
 
 def test_decode_realization_cap(fibonacci):
-    g = build_prefix_graph(fibonacci)
-    path = encode_integer(g, "a", 10_000)
-    assert decode_path(g, path, realize_cap=100).realized is None
-    assert decode_path(g, path, materialize=False).realized is None
-    assert len(decode_path(g, path).realized) == 10_000
+    path = encode_integer(fibonacci, "a", 10_000)
+    assert decode_path(fibonacci, path, realize_cap=100).realized is None
+    assert decode_path(fibonacci, path, materialize=False).realized is None
+    assert len(decode_path(fibonacci, path).realized) == 10_000
 
 
 def test_encode_examples(fibonacci):
-    g = build_prefix_graph(fibonacci)
-    assert format_path(encode_integer(g, "a", 4)) == "a: a.e.a"
-    assert format_path(encode_integer(g, "a", 0)) == "a:"
-    assert format_path(encode_integer(g, "a", 7)) == "a: a.e.a.e"
+    assert format_path(encode_integer(fibonacci, "a", 4)) == "a: a.e.a"
+    assert format_path(encode_integer(fibonacci, "a", 0)) == "a:"
+    assert format_path(encode_integer(fibonacci, "a", 7)) == "a: a.e.a.e"
     with pytest.raises(InputError):
-        encode_integer(g, "b", 3)  # b is not a period-1 seed
+        encode_integer(fibonacci, "b", 3)  # b is not a period-1 seed
     with pytest.raises(InputError):
-        encode_integer(g, "a", -1)
+        encode_integer(fibonacci, "a", -1)
 
 
 def test_enumeration_matches_published_listing(fibonacci):
-    g = build_prefix_graph(fibonacci)
-    listing = [format_path(p) for p in enumerate_paths(g, "a", 9)]
+    listing = [format_path(p) for p in enumerate_paths(fibonacci, "a", 9)]
     assert listing == [
         "a:",
         "a: a",
@@ -109,16 +102,15 @@ def test_enumeration_matches_published_listing(fibonacci):
         "a: a.e.a.e",
         "a: a.e.e.e.e",
     ]
-    assert [format_path(p) for p in enumerate_paths(g, "a", 1)] == ["a:"]
+    assert [format_path(p) for p in enumerate_paths(fibonacci, "a", 1)] == ["a:"]
 
 
 def test_enumeration_is_the_order_of_values(fibonacci, tribonacci, aab_bbaab):
     for sub, seed in ((fibonacci, "a"), (tribonacci, "a"), (aab_bbaab, "b")):
-        g = build_prefix_graph(sub)
-        paths = enumerate_paths(g, seed, 120)
+        paths = enumerate_paths(sub, seed, 120)
         for k, p in enumerate(paths):
-            assert decode_path(g, p, materialize=False).value == k
-            assert encode_integer(g, seed, k) == p
+            assert decode_path(sub, p, materialize=False).value == k
+            assert encode_integer(sub, seed, k) == p
 
 
 # a begins its own image, so it is a period-1 seed
@@ -130,8 +122,8 @@ _SEEDED_RULES = st.integers(2, 3).flatmap(lambda n: st.tuples(*(
 @settings(max_examples=40, deadline=None)
 @given(_SEEDED_RULES, st.integers(1, 400))
 def test_enumeration_matches_the_recursive_oracle(rules, count):
-    g = build_prefix_graph(Substitution(rules))
-    assert enumerate_paths(g, "a", count) == oracle_enumerate_paths(g, "a", count)
+    sub = Substitution(rules)
+    assert enumerate_paths(sub, "a", count) == oracle_enumerate_paths(sub, "a", count)
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,36 +142,33 @@ def test_odometer_steps_like_the_greedy_walk(parts, offset):
     u, v, others = parts
     rules = dict(zip("abc", ["a" + u + "a" + v, *others]))
     sub = Substitution(rules)
-    g = build_prefix_graph(sub)
     level_starts = [sub.image_lengths(level)[0] - 2 for level in range(1, 7)]
     for lo in (0, *level_starts, 10**9 + offset, 10**30 + offset):
-        window = [(tuple(labels), terminal) for labels, terminal in islice(_walks(g, 0, lo), 300)]
-        assert window == [_greedy_walk(g, 0, value) for value in range(lo, lo + 300)], (rules, lo)
+        window = [(tuple(labels), terminal) for labels, terminal in islice(_walks(sub, 0, lo), 300)]
+        assert window == [_greedy_walk(sub, 0, value) for value in range(lo, lo + 300)], (rules, lo)
 
 
 def test_no_adjacent_nonempty_labels_for_fibonacci(fibonacci):
     # the Zeckendorf no-two-consecutive rule, phrased on labels
-    g = build_prefix_graph(fibonacci)
-    for p in enumerate_paths(g, "a", 100):
+    for p in enumerate_paths(fibonacci, "a", 100):
         for u, v in zip(p.labels, p.labels[1:]):
             assert not (len(u) and len(v))
 
 
 def test_out_edge_label_lengths_distinct(fibonacci, tribonacci, aab_bbaab):
     for sub in (fibonacci, tribonacci, aab_bbaab):
-        g = build_prefix_graph(sub)
+        edges = prefix_automaton(sub)["edges"]
         for a in sub.alphabet:
-            lengths = [len(e.label) for e in g.out_edges(a)]
+            lengths = [len(e["label"]) for e in edges if e["source"] == a]
             assert len(set(lengths)) == len(lengths)
 
 
 def test_round_trip_and_prefix_law(fibonacci):
-    g = build_prefix_graph(fibonacci)
     stream = FixedPointStream(fibonacci, "a")
     prefix = stream.prefix_text(400)
     for value in range(400):
-        path = encode_integer(g, "a", value)
-        decoded = decode_path(g, path)
+        path = encode_integer(fibonacci, "a", value)
+        decoded = decode_path(fibonacci, path)
         assert decoded.value == value
         assert str(decoded.realized) == prefix[:value]
         assert decoded.terminal == prefix[value]
@@ -196,14 +185,14 @@ def test_round_trip_and_prefix_law(fibonacci):
 )
 def test_letter_at_reads_the_expanded_prefix(rules, seed, period):
     sub = Substitution(rules)
-    graph = build_prefix_graph(sub.power(period))
+    sigma = sub.power(period)
     stream = FixedPointStream(sub, seed)
     assert stream.period == period
     prefix = stream.prefix_text(10_000)
-    assert "".join(letter_at(graph, seed, v) for v in range(10_000)) == prefix
+    assert "".join(letter_at(sigma, seed, v) for v in range(10_000)) == prefix
     if period > 1:
         with pytest.raises(InputError, match="period-1 seed"):
-            letter_at(build_prefix_graph(sub), seed, 0)
+            letter_at(sub, seed, 0)
 
 
 def test_round_trip_fuzz_random_substitutions():
@@ -222,39 +211,35 @@ def test_round_trip_fuzz_random_substitutions():
         if not seeds:
             continue
         seed = seeds[0]
-        graph = build_prefix_graph(sub)
         for value in range(300):
-            assert decode_path(graph, encode_integer(graph, seed, value), materialize=False).value == value
+            assert decode_path(sub, encode_integer(sub, seed, value), materialize=False).value == value
         stream = FixedPointStream(sub, seed)
         prefix = stream.prefix_text(300)
         for value in (0, 1, 2, 137, 299):
-            realized = decode_path(graph, encode_integer(graph, seed, value)).realized
+            realized = decode_path(sub, encode_integer(sub, seed, value)).realized
             assert str(realized) == prefix[:value]
         checked += 1
 
 
 def test_synchronizing_examples(aab_bbaab, fibonacci):
-    g = build_prefix_graph(aab_bbaab)
-    scan = synchronizing_scan(g, "a", "b", (0, 10))
+    scan = synchronizing_scan(aab_bbaab, "a", "b", (0, 10))
     by_value = {e.value: e for e in scan.entries}
     assert 5 in by_value and by_value[5].terminal == "b"
     assert format_path(by_value[5].path_a) == "a: a.aa"
     assert format_path(by_value[5].path_b) == "b: b.e"
     assert 0 not in by_value  # distinct start vertices at value 0
     assert scan.max_run >= 1
-    gf = build_prefix_graph(fibonacci)
     with pytest.raises(InputError):
-        synchronizing_scan(gf, "a", "b", (0, 5))  # b is not a seed
+        synchronizing_scan(fibonacci, "a", "b", (0, 5))  # b is not a seed
 
 
 def _check_sync_is_agreement(sub, a, b):
     """num sync lists exactly {v : x_v = y_v}, read off the expanded streams
     near 0 and off decode_path just above 10^9."""
-    g = build_prefix_graph(sub)
     letters = sub.alphabet.letters
     x = FixedPointStream(sub, a).prefix_indices(2001)
     y = FixedPointStream(sub, b).prefix_indices(2001)
-    near = synchronizing_scan(g, a, b, (0, 2000))
+    near = synchronizing_scan(sub, a, b, (0, 2000))
     hits = [v for v in range(2001) if x[v] == y[v]]
     assert [e.value for e in near.entries] == hits
     assert [e.terminal for e in near.entries] == [letters[x[v]] for v in hits]
@@ -265,11 +250,11 @@ def _check_sync_is_agreement(sub, a, b):
     assert near.max_run == longest
 
     lo, hi = 10**9 + 1, 10**9 + 200
-    far = {e.value: e for e in synchronizing_scan(g, a, b, (lo, hi)).entries}
+    far = {e.value: e for e in synchronizing_scan(sub, a, b, (lo, hi)).entries}
     for v in range(lo, hi + 1):
-        path_a, path_b = encode_integer(g, a, v), encode_integer(g, b, v)
-        end_a = decode_path(g, path_a, materialize=False)
-        end_b = decode_path(g, path_b, materialize=False)
+        path_a, path_b = encode_integer(sub, a, v), encode_integer(sub, b, v)
+        end_a = decode_path(sub, path_a, materialize=False)
+        end_b = decode_path(sub, path_b, materialize=False)
         assert end_a.value == end_b.value == v
         if v in far:
             entry = far[v]
@@ -286,21 +271,34 @@ def test_sync_is_the_agreement_set(rules):
     _check_sync_is_agreement(Substitution(rules), "a", "b")
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(2, 3).flatmap(lambda n: st.tuples(*(
+# a and b begin their own images, so both are period-1 seeds, and every
+# image has length >= 2, so the points grow fast enough to reach 10^9
+_TWO_SEED_RULES = st.integers(2, 3).flatmap(lambda n: st.tuples(*(
     st.text("abc"[:n], min_size=1, max_size=3) for _ in range(n)
-))))
-def test_sync_is_the_agreement_set_random(tails):
-    # a and b begin their own images, so both are period-1 seeds, and every
-    # image has length >= 2, so the points grow fast enough to reach 10^9
-    letters = "abc"[: len(tails)]
-    rules = {c: (c if c in "ab" else tail[0]) + tail for c, tail in zip(letters, tails)}
+))).map(lambda tails: {c: (c if c in "ab" else tail[0]) + tail for c, tail in zip("abc", tails)})
+
+
+@settings(max_examples=15, deadline=None)
+@given(_TWO_SEED_RULES)
+def test_sync_is_the_agreement_set_random(rules):
     _check_sync_is_agreement(Substitution(rules), "a", "b")
 
+
+@settings(max_examples=30, deadline=None)
+@given(_TWO_SEED_RULES, st.integers(0, 3000))
+def test_sync_values_are_the_proximal_windows(rules, h):
+    # both compute the agreement set: num sync on 0..h by walking paths,
+    # proximal below h + 1 by comparing the expanded points
+    sub = Substitution(rules)
+    scan = synchronizing_scan(sub, "a", "b", (0, h))
+    evidence = proximality_scan(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 1, h + 1)
+    windows = [v for start, length in evidence.windows for v in range(start, start + length)]
+    assert [e.value for e in scan.entries] == windows
+    assert scan.max_run == dict(evidence.max_length_per_horizon)[h + 1]
+
 def test_path_text_round_trip(fibonacci):
-    g = build_prefix_graph(fibonacci)
     for value in (0, 1, 4, 7, 55, 100):
-        path = encode_integer(g, "a", value)
+        path = encode_integer(fibonacci, "a", value)
         again = parse_path(fibonacci, format_path(path))
         assert again == path
     assert parse_path(fibonacci, "a:") == PathRepresentation("a", ())
@@ -313,8 +311,7 @@ def test_path_text_round_trip(fibonacci):
 
 def test_path_text_with_letter_e_in_alphabet():
     sub = Substitution({"e": "ef", "f": "e"})
-    g = build_prefix_graph(sub)
     for value in range(30):
-        path = encode_integer(g, "e", value)
-        rendered = format_path(path, sub.alphabet)
+        path = encode_integer(sub, "e", value)
+        rendered = format_path(path)
         assert parse_path(sub, rendered) == path

@@ -1,4 +1,7 @@
+from itertools import groupby
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from substrand import (
     EVIDENCE_FOR,
@@ -7,6 +10,7 @@ from substrand import (
     NONE_FOUND,
     max_return_gap,
     occurrences,
+    points,
     proximality_scan,
 )
 from conftest import oracle_prefix
@@ -119,3 +123,16 @@ def test_occurrence_text_export(fibonacci):
     occ = occurrences(x, "b", 13)
     assert occ.to_text().splitlines() == ["1", "4", "6", "9", "12"]
     assert occ.to_json_dict()["positions"] == [1, 4, 6, 9, 12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=120), st.integers(0, 1), st.integers(1, 4), st.data())
+def test_longest_run_matches_the_run_length_oracle(bits, byte, needle, data):
+    # a needle shorter than the longest run so far still finds every run
+    mask = bytearray(bits)
+    start = data.draw(st.integers(0, len(mask)), label="start")
+    end = data.draw(st.integers(start, len(mask)), label="end")
+    runs = [len(list(run)) for value, run in groupby(mask[start:end]) if value == byte]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(points, "_RUN_NEEDLE", needle)
+        assert points._longest_run(mask, byte, start, end) == max(runs, default=0)

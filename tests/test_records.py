@@ -26,7 +26,7 @@ _RECORDS = {
     "spectral": {"RootBound", "ClassificationReport"},
     "points": {"OccurrenceSet", "ProximalityEvidence"},
     "coincidence": {"DeltaSequence", "CoincidenceWitness", "CoincidenceVerdict", "BalancedPairClosure"},
-    "numeration": {"PrefixEdge", "PathRepresentation", "DecodedValue", "SynchronizingEntry", "SynchronizingScan"},
+    "numeration": {"PathRepresentation", "DecodedValue", "SynchronizingEntry", "SynchronizingScan"},
     "ipsets": {"FsProvenance", "FsFamily", "FsVerification"},
     "strand": {"Strand", "InvariantSplitting", "StabilityScan"},
 }
@@ -58,7 +58,7 @@ def test_the_record_types_are_the_named_tuples():
     for module, cls in _public_records():
         found.setdefault(module, set()).add(cls.__name__)
     assert found == _RECORDS
-    assert sum(map(len, found.values())) == 20
+    assert sum(map(len, found.values())) == 19
 
 
 @pytest.mark.parametrize("cls", [cls for _, cls in _public_records()], ids=lambda cls: cls.__name__)
