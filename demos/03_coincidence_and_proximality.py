@@ -34,7 +34,7 @@ def main():
     _, x, y = pair_streams({"a": "aab", "b": "ba"})
     print("x:", x.prefix_text(24))
     print("y:", y.prefix_text(24))
-    print("first difference vectors:", delta_sequence(x, y, 6).values)
+    print("first difference vectors:", delta_sequence(x, y, 6))
     verdict = find_strong_coincidence(x, y, 100_000)
     w = verdict.witness
     print(f"witness: k={w.index} letter={w.letter!r} prefixes {str(w.prefix_x)!r} ~ {str(w.prefix_y)!r}")

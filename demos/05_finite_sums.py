@@ -34,7 +34,7 @@ def main():
     print("generators:", family.generators)
     sigma = pair.power(prov.power)
     for path, value in zip(prov.paths, family.generators):
-        print(f"  path {path.to_json_dict()['labels']} decodes to {decode_path(sigma, path, materialize=False).value} = {value}")
+        print(f"  path {path.to_json_dict()['labels']} decodes to {decode_path(sigma, path, realize_cap=None).value} = {value}")
 
     horizon = sum(family.generators) + 2
     verification = verify_finite_sums(family, pair, "a", "b", horizon, max_subset_size=3)

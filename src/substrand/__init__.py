@@ -17,8 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "words": (
         "Alphabet", "Word", "Substitution", "FixedPointStream",
-        "abelianize", "apply_substitution", "expand", "list_periodic_seeds",
-        "SubstitutionSpec", "parse_substitution_spec",
+        "abelianize", "apply_substitution", "list_periodic_seeds", "parse_substitution_spec",
     ),
     "spectral": (
         "abelianization_matrix", "is_primitive", "characteristic_polynomial",
@@ -31,7 +30,7 @@ _EXPORTS = {
         "proximality_scan", "EVIDENCE_FOR", "NONE_FOUND",
     ),
     "coincidence": (
-        "DeltaSequence", "CoincidenceWitness", "CoincidenceVerdict",
+        "CoincidenceWitness", "CoincidenceVerdict",
         "delta_sequence", "find_strong_coincidence", "validate_witness",
         "delta_value_set", "BalancedPairClosure", "balanced_pair_closure",
     ),

@@ -3,7 +3,11 @@
 Rule files (conventionally ``.sub``) use the one-rule-per-line format of
 :func:`substrand.words.parse_substitution_spec`. A seed's period is its
 least period, found from the rules by :func:`substrand.words.seed_period`
-(at most the alphabet size).
+(at most the alphabet size). The ``num`` commands other than ``num graph``,
+and ``ipset verify``, read the numeration of sigma^p (:func:`_seed_power`):
+p is the start's least period, or the lcm of both for ``num sync``, so a
+path at a seed of period p is a path of sigma^p's automaton; ``num graph``
+prints sigma's.
 
 One path runs every subcommand: :func:`main` reads the rule file, hands the
 substitution to the subcommand's handler, and writes the one rendering the
@@ -46,8 +50,9 @@ off the prefix automaton; its ``--seeds`` witness is searched below
 larger value exits 2 before any path is walked. The last strand
 of ``strand scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6
 segments: one more exits 2 before any strand is inflated. The weight column of ``num
-graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, counted from
-the image lengths before any weight is computed.
+graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, and the labels
+of ``num graph`` at ``MATERIALIZE_CAP`` letters, both counted from the image
+lengths before any weight or edge is written.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from typing import TYPE_CHECKING
 from .errors import InputError, SubstrandError
 
 if TYPE_CHECKING:
-    from .words import FixedPointStream, Substitution, SubstitutionSpec
+    from .words import FixedPointStream, Substitution
 
 DEFAULT_HORIZON = 100_000
 MATERIALIZE_CAP = 10_000_000
@@ -74,15 +79,14 @@ STRAND_CAP = 1_000_000
 WEIGHTS_CAP = 10_000_000
 
 
-def _load_spec(path: str) -> SubstitutionSpec:
+def _load_spec(path: str) -> Substitution:
     from .words import parse_substitution_spec
 
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read spec file {path!r}: {exc}") from exc
-    return parse_substitution_spec(text, name=p.stem)
+    return parse_substitution_spec(text)
 
 
 def _default_horizon() -> int:
@@ -134,6 +138,16 @@ def _stream_pair(sub: Substitution, a: str, b: str) -> tuple[FixedPointStream, F
 
     x, y = FixedPointStream(sub, a), FixedPointStream(sub, b)
     return x, y, math.lcm(x.period, y.period)
+
+
+def _seed_power(sub: Substitution, *starts: str) -> Substitution:
+    """sigma^p, p the lcm of the starts' least periods: the periodic points at
+    the starts are the fixed points of sigma^p that the numeration reads. A
+    start that is not a seed counts as period 1, for the library to refuse, or
+    for ``num decode``, which decodes a path at any letter, to read sigma's."""
+    from .words import seed_period
+
+    return sub.power(math.lcm(*(seed_period(sub, s) or 1 for s in starts)))
 
 
 def _parse_seeds(value: str) -> tuple[str, str]:
@@ -239,6 +253,8 @@ def _cmd_num_graph(args, sub: Substitution):
     from . import numeration
 
     if args.weights is None:
+        # the labels of an image of length L hold L(L-1)/2 letters
+        _check_cap("label length", sum(n * (n - 1) // 2 for n in sub.image_lengths(1)), MATERIALIZE_CAP)
         return 0, numeration.prefix_automaton(sub), None
     if args.weights < 0:
         raise InputError(f"--weights must be >= 0, got {args.weights}")
@@ -268,7 +284,7 @@ def _check_weight_digits(sub: Substitution, levels: int) -> None:
 def _cmd_num_encode(args, sub: Substitution):
     from . import numeration
 
-    path = numeration.encode_integer(sub, args.start, args.value)
+    path = numeration.encode_integer(_seed_power(sub, args.start), args.start, args.value)
     rendered = numeration.format_path(path)
     labels = [str(u) for u in path.labels]
     return 0, {"value": args.value, "start": args.start, "path": rendered, "labels": labels}, rendered
@@ -282,7 +298,7 @@ def _cmd_num_decode(args, sub: Substitution):
         raise InputError(f"--max-realize must be >= 0, got {realize_cap}")
     _check_cap("--max-realize", realize_cap)
     path = numeration.parse_path(sub, args.path)
-    decoded = numeration.decode_path(sub, path, realize_cap=realize_cap)
+    decoded = numeration.decode_path(_seed_power(sub, path.start), path, realize_cap=realize_cap)
     return 0, decoded.to_json_dict, lambda: str(decoded.value)
 
 
@@ -290,7 +306,7 @@ def _cmd_num_list(args, sub: Substitution):
     from . import numeration
 
     _check_cap("--count", args.count, NUMERATION_CAP, "values")
-    paths = numeration.enumerate_paths(sub, args.start, args.count)
+    paths = numeration.enumerate_paths(_seed_power(sub, args.start), args.start, args.count)
     rendered = [numeration.format_path(p) for p in paths]
     return 0, {"start": args.start, "paths": rendered}, (
         lambda: "\n".join(f"{k}\t{r}" for k, r in enumerate(rendered)))
@@ -301,26 +317,27 @@ def _cmd_num_sync(args, sub: Substitution):
 
     lo, hi = args.range
     _check_cap("--range width", hi - lo + 1, NUMERATION_CAP, "values")
-    scan = numeration.synchronizing_scan(sub, *_parse_seeds(args.starts), (lo, hi))
+    starts = _parse_seeds(args.starts)
+    scan = numeration.synchronizing_scan(_seed_power(sub, *starts), *starts, (lo, hi))
     return 0, scan.to_json_dict(), None
 
 
 def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int):
     """The least witness of the seeds below the horizon (searched below
-    MATERIALIZE_CAP at most), the family of ``count`` generators built from it
-    under sigma^p (both None without a witness), and p, the lcm of the seeds'
-    periods."""
+    MATERIALIZE_CAP at most), and the family of ``count`` generators built from
+    it under sigma^p, p the lcm of the seeds' periods (both None without a
+    witness)."""
     from . import coincidence as coin, ipsets
 
     x, y, period = _stream_pair(sub, a, b)
     witness = coin.find_strong_coincidence(x, y, min(horizon, MATERIALIZE_CAP)).witness
     family = witness and ipsets.build_fs_family(sub.power(period), witness, count)
-    return witness, family, period
+    return witness, family
 
 
 def _cmd_ipset_build(args, sub: Substitution):
     horizon = _scan_horizon(args)
-    witness, family, _ = _witness_family(sub, *_parse_seeds(args.seeds), horizon, args.count)
+    witness, family = _witness_family(sub, *_parse_seeds(args.seeds), horizon, args.count)
     if witness is None:
         return 1, {"witness": None, "horizon": horizon, "family": None}, None
     return 0, {"witness": witness.to_json_dict(), "family": family.to_json_dict()}, None
@@ -328,7 +345,6 @@ def _cmd_ipset_build(args, sub: Substitution):
 
 def _cmd_ipset_verify(args, sub: Substitution):
     from . import ipsets
-    from .words import require_seed_period
 
     horizon = _horizon(args)
     if args.seeds and (args.seed or args.factor):
@@ -343,21 +359,20 @@ def _cmd_ipset_verify(args, sub: Substitution):
         except ValueError:
             raise InputError(f"--generators expects integers, got {args.generators!r}")
         family = ipsets.FsFamily(generators, ipsets.SEARCHED)
-        start, factor = args.seed, args.factor
-        period = require_seed_period(sub, start)
+        starts, factor = (args.seed,), args.factor
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
-        start, b = _parse_seeds(args.seeds)
+        starts = _parse_seeds(args.seeds)
         count = 2 if args.count is None else args.count
-        _, family, period = _witness_family(sub, start, b, horizon, count)
+        _, family = _witness_family(sub, *starts, horizon, count)
         if family is None:
             return 1, {"witness": None, "verdict": "no-witness"}, None
         factor = family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)
     verification = ipsets.verify_finite_sums(
-        family, sub.power(period), start, factor, horizon, args.max_subset_size
+        family, _seed_power(sub, *starts), starts[0], factor, horizon, args.max_subset_size
     )
     code = int(args.expect_pass and verification.verdict != "pass")
     return code, verification.to_json_dict, verification.to_text
@@ -569,7 +584,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return 2 if exc.code else 0
-        code, payload, text = args.handler(args, _load_spec(args.spec).substitution)
+        code, payload, text = args.handler(args, _load_spec(args.spec))
         _emit(args, payload, text)
         sys.stdout.flush()
         return code

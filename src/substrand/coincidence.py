@@ -16,6 +16,7 @@ descent, without reading the streams or loading numpy. Otherwise D comes
 from :func:`_delta_blocks`, a cumulative sum over the streams' letter
 buffers in bounded blocks, which the scans here and
 :func:`substrand.strand.max_stable_delta_norm` consume; numpy loads there.
+:func:`delta_sequence` returns D_0..D_h as a plain tuple, D_k at index k.
 """
 
 from __future__ import annotations
@@ -29,20 +30,6 @@ from .words import FixedPointStream, Substitution, Word, abelianize, apply_subst
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class DeltaSequence(NamedTuple):
-    """Exact prefix count-difference vectors D_0..D_horizon: ``len`` and
-    indexing read ``values`` (so ``_replace``, which counts fields, does not apply)."""
-
-    horizon: int
-    values: tuple[tuple[int, ...], ...]
-
-    def __getitem__(self, k: int) -> tuple[int, ...]:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 class CoincidenceWitness(NamedTuple):
@@ -138,12 +125,11 @@ def _note_first_seen(first_seen: dict[tuple[int, ...], int], k0: int, block: np.
         first_seen.setdefault(tuple(value), k0 + i)
 
 
-def delta_sequence(x: FixedPointStream, y: FixedPointStream, horizon: int) -> DeltaSequence:
-    """The exact difference sequence D_0..D_horizon."""
+def delta_sequence(x: FixedPointStream, y: FixedPointStream, horizon: int) -> tuple[tuple[int, ...], ...]:
+    """The exact difference vectors D_0..D_horizon, D_k at index k."""
     if horizon < 0:
         raise InputError("horizon must be >= 0")
-    blocks = _delta_blocks(x, y, horizon)
-    return DeltaSequence(horizon, tuple(tuple(row) for _, b in blocks for row in b.tolist()))
+    return tuple(tuple(row) for _, block in _delta_blocks(x, y, horizon) for row in block.tolist())
 
 
 def find_strong_coincidence(

@@ -228,26 +228,26 @@ def search_ip_witness(occ: OccurrenceSet, depth: int) -> FsFamily | None:
     """Backtracking search for `depth` generators with all subset sums in the set.
 
     Candidates, and the members every sum is looked up in, are the positive
-    occurrence positions; the first family in lexicographic order is
+    occurrence positions, read off the ``hits`` mask in increasing order one
+    at a time (none is listed); the first family in lexicographic order is
     returned, or None when the search space below the horizon is exhausted.
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
     hits = occ.hits
-    candidates = [p for p in occ.positions if p]
 
     def occurs(total: int) -> bool:
         return total < len(hits) and hits[total] == 1
 
-    def extend(chosen: list[int], sums: set[int], next_index: int):
+    def extend(chosen: list[int], sums: set[int], g: int):
+        """Extend by a candidate above g (the last one chosen, or 0)."""
         if len(chosen) == depth:
             return list(chosen)
-        for idx in range(next_index, len(candidates)):
-            g = candidates[idx]
+        while (g := hits.find(1, g + 1)) >= 0:
             new_sums = {g} | {total + g for total in sums}
             if all(map(occurs, new_sums)):
                 chosen.append(g)
-                found = extend(chosen, sums | new_sums, idx + 1)
+                found = extend(chosen, sums | new_sums, g)
                 if found is not None:
                     return found
                 chosen.pop()

@@ -9,10 +9,12 @@ for the prefix
 
 of the fixed point at the seed, and therefore for the integer equal to that
 prefix's length. Values are sums of exact image lengths
-(:meth:`substrand.words.Substitution.image_lengths`); the prefix word itself
-is only materialized on request (it can be astronomically long while the
-path stays short). Every function takes the substitution itself and reads
-the edges it needs off the images; :func:`prefix_automaton` lists them all.
+(:meth:`substrand.words.Substitution.image_lengths`); :func:`decode_path`
+builds the prefix word itself only up to its ``realize_cap`` (None: never),
+since it can be astronomically long while the path stays short. Every
+function takes the substitution itself (sigma^p for a seed of period p) and
+reads the edges it needs off the images; :func:`prefix_automaton` lists
+them all.
 
 Path text format: ``a: a.e.a`` (start vertex, dot-separated labels, empty
 label written ``e`` unless the alphabet uses the letter e, in which case the
@@ -94,15 +96,12 @@ class DecodedValue(NamedTuple):
 
 
 def decode_path(
-    sub: Substitution,
-    path: PathRepresentation,
-    materialize: bool = True,
-    realize_cap: int = DEFAULT_REALIZE_CAP,
+    sub: Substitution, path: PathRepresentation, realize_cap: int | None = DEFAULT_REALIZE_CAP
 ) -> DecodedValue:
-    """Value, terminal vertex, and (optionally) the realized prefix of a path.
+    """Value, terminal vertex, and the realized prefix of a path.
 
-    The value is a sum of exact image lengths; the realized word is
-    built only when requested and no longer than realize_cap. Each label
+    The value is a sum of exact image lengths; the realized word is built
+    only when the value is at most ``realize_cap`` (None: never). Each label
     must be a proper prefix of the image of the vertex it leaves.
     """
     alphabet = sub.alphabet
@@ -117,7 +116,7 @@ def decode_path(
         vertex = image[k]
         value += sub.image_length(label, n - i)
     realized = None
-    if materialize and value <= realize_cap:
+    if realize_cap is not None and value <= realize_cap:
         word = Word(alphabet)
         for label in path.labels:
             word = apply_substitution(sub, word) + label

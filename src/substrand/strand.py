@@ -9,7 +9,9 @@ overflow); only the projections onto the expanding line and the contracting
 hyperplane are numeric. Iterating the inflation and watching the stable
 projection of the vertices gives a desk-scale picture of the invariant
 cylinder (an empirical confinement radius) and, for Tribonacci-like
-substitutions, traces the familiar fractal tile.
+substitutions, traces the familiar fractal tile. :func:`stability_scan`
+checks that inflation conjugates translation along the expanding line with
+scaling at the fixed offsets ``_TRANSLATION_SAMPLES``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ _INT64 = np.iinfo(np.int64)
 # relative to their scale, that invariant_splitting accepts
 _PROJECTOR_CHECK = 1e-6
 _BURN_IN = 3  # inflations skipped before the empirical radius is read
+# offsets t along the expanding line at which the conjugation identity is checked
+_TRANSLATION_SAMPLES = (0.5, 1.25, 2.0)
 # side of the square SVG canvas, its margin, and the radius of each point
 _SVG_SIZE, _SVG_MARGIN, _SVG_POINT_RADIUS = 800, 40.0, 1.5
 _PALETTE = (
@@ -264,12 +268,12 @@ def stability_scan(
     seed: Strand,
     iterations: int,
     splitting: InvariantSplitting,
-    translation_samples: Sequence[float] = (0.5, 1.25, 2.0),
 ) -> StabilityScan:
     """Iterate the inflation and record stable-norm envelopes.
 
     The empirical confinement radius is read after the burn-in transient;
-    the conjugation identity is checked on the seed and final strands.
+    the conjugation identity is checked on the seed and final strands, at
+    the offsets ``_TRANSLATION_SAMPLES``.
     """
     if iterations < 1:
         raise InputError("iterations must be >= 1")
@@ -283,15 +287,15 @@ def stability_scan(
     start = min(_BURN_IN, iterations)
     radius = max(envelopes[start:])
     err = max(
-        _conjugation_error(sub, seed, splitting, translation_samples),
-        _conjugation_error(sub, strands[-1], splitting, translation_samples),
+        _conjugation_error(sub, seed, splitting, _TRANSLATION_SAMPLES),
+        _conjugation_error(sub, strands[-1], splitting, _TRANSLATION_SAMPLES),
     )
     return StabilityScan(
         envelopes=tuple(envelopes),
         burn_in=_BURN_IN,
         empirical_radius=radius,
         conjugation_max_error=err,
-        translation_samples=tuple(translation_samples),
+        translation_samples=_TRANSLATION_SAMPLES,
         strands=tuple(strands),
     )
 

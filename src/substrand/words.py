@@ -6,8 +6,9 @@ ordering. A fixed point's prefix holds those indices in a ``bytearray``, one
 byte per letter up to 256 letters, which the scans in :mod:`substrand.points`
 read as bytes; numpy loads only when a numpy view is asked for
 (:meth:`FixedPointStream.prefix_indices`, which the prefix-difference scans of
-:mod:`substrand.coincidence` read). Rule files use the text format parsed
-by :func:`parse_substitution_spec`::
+:mod:`substrand.coincidence` read); :meth:`FixedPointStream.expand` gives a
+prefix as a :class:`Word`. Rule files use the text format that
+:func:`parse_substitution_spec` turns into a :class:`Substitution`::
 
     # Fibonacci
     a -> ab
@@ -21,7 +22,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import InputError
 
@@ -235,16 +236,8 @@ class Substitution:
 _RULE = re.compile(r"^\s*(\S+)\s*->\s*(.+?)\s*$")
 
 
-class SubstitutionSpec(NamedTuple):
-    """A parsed rule file: source text, the substitution, an optional name."""
-
-    source: str
-    substitution: Substitution
-    name: str | None = None
-
-
-def parse_substitution_spec(text: str, name: str | None = None) -> SubstitutionSpec:
-    """Parse the rule text format; errors carry line numbers."""
+def parse_substitution_spec(text: str) -> Substitution:
+    """The substitution of a rule text; errors carry line numbers."""
     rules: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -272,7 +265,7 @@ def parse_substitution_spec(text: str, name: str | None = None) -> SubstitutionS
                 raise InputError(
                     f"image of {lhs!r} uses undeclared symbol {ch!r}"
                 )
-    return SubstitutionSpec(source=text, substitution=Substitution(rules), name=name)
+    return Substitution(rules)
 
 
 def apply_substitution(sub: Substitution, u: Word | str, power: int = 1) -> Word:
@@ -428,7 +421,3 @@ class FixedPointStream:
     def __repr__(self) -> str:
         return f"FixedPointStream(seed={self.seed!r}, period={self.period})"
 
-
-def expand(stream: FixedPointStream, length: int) -> Word:
-    """Prefix of the stream's periodic point (see :meth:`FixedPointStream.expand`)."""
-    return stream.expand(length)

@@ -329,6 +329,28 @@ def oracle_verify_finite_sums(generators, occ, max_subset_size):
     return tuple(failures), tuple(unchecked)
 
 
+def oracle_search_ip_witness(occ, depth):
+    """The generators of the first family in lexicographic order, or None, by
+    backtracking over the listed positive positions: the search's body before
+    it walked the ``hits`` mask."""
+    positions = set(occ.positions)
+    candidates = [p for p in occ.positions if p]
+
+    def extend(chosen, sums, next_index):
+        if len(chosen) == depth:
+            return tuple(chosen)
+        for idx in range(next_index, len(candidates)):
+            g = candidates[idx]
+            new_sums = {g} | {total + g for total in sums}
+            if new_sums <= positions:
+                found = extend(chosen + [g], sums | new_sums, idx + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return extend([], set(), 0)
+
+
 def oracle_build_fs_family(sub, witness, count):
     """The family built as the library did before exact image lengths: the
     full images of a, b and c under sub^q for q = 1, 2, ..., then the prefix
@@ -349,7 +371,7 @@ def oracle_build_fs_family(sub, witness, count):
     connector = sigma.image(c)[: image_c.index(b)]
     empty = Word(sub.alphabet)
     paths = tuple(PathRepresentation(a, (s, connector) + (empty,) * (2 * i)) for i in range(count))
-    generators = tuple(decode_path(sigma, p, materialize=False).value for p in paths)
+    generators = tuple(decode_path(sigma, p, realize_cap=None).value for p in paths)
     return FsFamily(generators, FsProvenance(power, s, t, c, connector, b, a, paths))
 
 

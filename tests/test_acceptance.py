@@ -148,7 +148,7 @@ def test_criterion_3_round_trip():
     for sub, seed in systems:
         for value in range(10_001):
             path = encode_integer(sub, seed, value)
-            assert decode_path(sub, path, materialize=False).value == value
+            assert decode_path(sub, path, realize_cap=None).value == value
         stream = FixedPointStream(sub, seed)
         prefix = stream.prefix_text(1001)
         for value in range(1001):

@@ -60,8 +60,8 @@ def _run_json(capsys, argv):
 
 
 def test_parse_substitution_spec_happy_path():
-    spec = parse_substitution_spec("  a ->  a b\n# note\nb->a\n")
-    assert spec.substitution.rules() == {"a": "ab", "b": "a"}
+    sub = parse_substitution_spec("  a ->  a b\n# note\nb->a\n")
+    assert sub.rules() == {"a": "ab", "b": "a"}
 
 
 def test_parse_substitution_spec_errors():
@@ -238,7 +238,7 @@ def test_coincide_deep_expands_only_to_the_block_of_the_witness(monkeypatch, pai
         return ensure(self, length)
 
     monkeypatch.setattr(FixedPointStream, "_ensure", spy)
-    sub = parse_substitution_spec(Path(pair_spec).read_text()).substitution
+    sub = parse_substitution_spec(Path(pair_spec).read_text())
     verdict, _ = cli._coincide_pair(sub, "a", "b", 2, True)
     assert verdict.witness.index == 3 and verdict.horizon == 4 and requested == []
     # with the closure capped at its first pair, the scan at the cap stops in
@@ -275,7 +275,7 @@ def test_coincide_deep_without_witness_scans_once_to_the_cap(capsys, monkeypatch
     # report is read off the closure without expanding either stream
     assert code == 1 and horizons == [5000]
     assert requested == []
-    sub = parse_substitution_spec(p.read_text()).substitution
+    sub = parse_substitution_spec(p.read_text())
     expected = oracle_deep_coincide(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 100, 5000)
     assert expected.horizon == 5000 and expected.stabilized is True
     assert payload["pairs"] == [{"seeds": ["a", "b"], "period": 1, **expected.to_json_dict()}]
@@ -313,7 +313,7 @@ def test_coincide_on_polynomial_growth_writes_each_letter_once(capsys, monkeypat
     p = tmp_path / "poly.sub"
     p.write_text("a -> ac\nb -> bc\nc -> c\n")
     horizon = 20_000
-    sub = parse_substitution_spec(p.read_text()).substitution
+    sub = parse_substitution_spec(p.read_text())
     xs, ys = ([seed] + [2] * (horizon - 1) for seed in (0, 1))
     for seed, letters in zip("ab", (xs, ys)):
         assert oracle_prefix(sub, seed, 300) == "".join("abc"[i] for i in letters[:300])
@@ -336,7 +336,7 @@ def test_coincide_on_polynomial_growth_at_the_default_horizon_takes_seconds(tmp_
     # stream that wrote one letter per round took about 3 s here
     p = tmp_path / "poly.sub"
     p.write_text("a -> ac\nb -> bc\nc -> c\n")
-    sub = parse_substitution_spec(p.read_text()).substitution
+    sub = parse_substitution_spec(p.read_text())
     horizon = cli.DEFAULT_HORIZON
     xs, ys = ([seed] + [2] * (horizon - 1) for seed in (0, 1))  # sigma^m(a) = a c^m
     for seed, letters in zip("ab", (xs, ys)):
@@ -361,7 +361,7 @@ def test_coincide_deep_falls_back_to_the_scan_when_the_closure_is_indeterminate(
     # least witness past the default horizon
     p = tmp_path / "late.sub"
     p.write_text("a -> bbabc\nb -> aabb\nc -> ac\n")
-    sub = parse_substitution_spec(p.read_text()).substitution
+    sub = parse_substitution_spec(p.read_text())
     closure = coincidence.balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
     assert closure.verdict == coincidence.INDETERMINATE and closure.delta_values is None
     code, payload = _run_json(capsys, ["coincide", str(p), "--seeds", "a,b", "--deep"])
@@ -376,7 +376,7 @@ def test_coincide_deep_on_seeds_of_coprime_periods_matches_the_full_scan(capsys,
     p.write_text("".join(f"{c} -> {cycle[(i + 1) % len(cycle)]}{c}\n"
                          for cycle in ("abcde", "fghijkl") for i, c in enumerate(cycle)))
     monkeypatch.setattr(cli, "MATERIALIZE_CAP", 5000)
-    sub = parse_substitution_spec(p.read_text()).substitution
+    sub = parse_substitution_spec(p.read_text())
     x, y = FixedPointStream(sub, "a"), FixedPointStream(sub, "f")
     assert (x.period, y.period) == (5, 7)
     closure = coincidence.balanced_pair_closure(x, y)
@@ -389,7 +389,7 @@ def test_coincide_deep_on_seeds_of_coprime_periods_matches_the_full_scan(capsys,
 
 def test_coincide_deep_on_an_indeterminate_pair_matches_the_full_scan(capsys, monkeypatch, uniform_spec):
     monkeypatch.setattr(cli, "MATERIALIZE_CAP", 20_000)
-    sub = parse_substitution_spec(Path(uniform_spec).read_text()).substitution
+    sub = parse_substitution_spec(Path(uniform_spec).read_text())
     closure = coincidence.balanced_pair_closure(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"))
     assert closure.verdict == coincidence.INDETERMINATE
     expected = coincidence.find_strong_coincidence(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 20_000)
@@ -460,16 +460,76 @@ def test_num_stdout_is_byte_identical(capsys, tmp_path, name):
 def test_num_names_the_least_period_of_a_seed(capsys, tmp_path):
     spec = tmp_path / "tm.sub"
     spec.write_text("a -> ba\nb -> ab\nc -> c\n")
-    for start, message in (
-        ("a", "'a' is not a period-1 seed of this substitution; its least period is 2"),
-        # a letter that is no seed gets the message every command gives it
-        ("c", "'c' is not a periodic seed: no power of the substitution maps it to a longer word "
-              "that starts with it"),
-    ):
-        assert main(["num", "list", str(spec), "--start", start]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+    # the library takes sigma^p for a seed of period p, and names p when given sigma
+    sub = Substitution({"a": "ba", "b": "ab", "c": "c"})
+    with pytest.raises(InputError, match="^'a' is not a period-1 seed of this substitution; its least period is 2$"):
+        numeration.enumerate_paths(sub, "a", 5)
+    # the command passes sigma^2 itself
+    assert main(["num", "list", str(spec), "--start", "a", "--count", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["paths"] == ["a:", "a: a"]
+    # a letter that is no seed gets the message every command gives it
+    assert main(["num", "list", str(spec), "--start", "c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: 'c' is not a periodic seed: no power of the substitution maps it "
+                            "to a longer word that starts with it\n")
+
+
+@pytest.fixture
+def swap_spec(tmp_path):
+    """a -> ba, b -> ab: a and b are seeds of period 2, x = abbabaab..., y = baababba..."""
+    p = tmp_path / "swap.sub"
+    p.write_text("a -> ba\nb -> ab\n")
+    return str(p)
+
+
+def test_num_commands_take_seeds_of_period_two(capsys, swap_spec):
+    x = oracle_prefix(Substitution({"a": "ba", "b": "ab"}), "a", 64, period=2)
+    code, payload = _run_json(capsys, ["num", "list", swap_spec, "--start", "a", "--count", "64"])
+    assert code == 0
+    for value, rendered in enumerate(payload["paths"]):
+        code, decoded = _run_json(capsys, ["num", "decode", swap_spec, rendered])
+        # a path of sigma^2's automaton: its value is its place, its realized word a prefix of x
+        assert code == 0 and decoded["value"] == value and decoded["realized"] == x[:value]
+        assert decoded["terminal"] == x[value]
+    for value in (0, 1, 7, 63, 1000, 10**6 + 3):
+        assert main(["num", "encode", swap_spec, "--start", "b", str(value), "--format", "text"]) == 0
+        rendered = capsys.readouterr().out.strip()
+        assert main(["num", "decode", swap_spec, rendered, "--format", "text"]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+    # 'b' labels the edge a -> a of sigma, not of sigma^2 = (a -> abba, b -> baab): no prefix of x
+    assert main(["num", "decode", swap_spec, "a: b"]) == 2
+    assert capsys.readouterr() == ("", "error: no edge labeled 'b' at vertex 'a'\n")
+
+
+def test_num_sync_takes_the_lcm_of_the_periods(capsys, tmp_path):
+    # a is a seed of period 1 and b of period 2: sync reads sigma^2
+    spec = tmp_path / "mixed.sub"
+    spec.write_text("a -> abb\nb -> cb\nc -> bab\n")
+    sub = Substitution({"a": "abb", "b": "cb", "c": "bab"})
+    x, y = oracle_prefix(sub, "a", 301), oracle_prefix(sub, "b", 301, period=2)
+    code, payload = _run_json(capsys, ["num", "sync", str(spec), "--starts", "a,b", "--range", "0:300"])
+    assert code == 0
+    assert [e["value"] for e in payload["synchronizing"]] == [v for v in range(301) if x[v] == y[v]]
+    assert [e["terminal"] for e in payload["synchronizing"]] == [x[v] for v in range(301) if x[v] == y[v]]
+
+
+def test_num_graph_cap_exits_2_before_any_edge(capsys, monkeypatch, tmp_path):
+    # the labels of the images (length 5 and 1) hold 5 * 4 / 2 = 10 letters
+    spec = tmp_path / "long.sub"
+    spec.write_text("a -> abbbb\nb -> a\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrote an edge past the cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(numeration, "prefix_automaton", refuse)
+        mp.setattr(cli, "MATERIALIZE_CAP", 9)
+        assert main(["num", "graph", str(spec)]) == 2
+        assert capsys.readouterr() == ("", "error: label length 10 exceeds the cap of 9 letters\n")
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 10)
+    code, payload = _run_json(capsys, ["num", "graph", str(spec)])
+    assert code == 0 and sum(len(e["label"]) for e in payload["edges"]) == 10
 
 
 def test_proximal_exit_codes(capsys, uniform_spec, tm_spec):
@@ -677,7 +737,7 @@ def test_scan_horizon_cap_exits_2_before_expanding(capsys, monkeypatch, pair_spe
 def test_positions_print_as_json_and_text_across_blocks(capsys, monkeypatch, pair_spec):
     monkeypatch.setattr(points, "_BLOCK_CELLS", 7)
     horizon = 500
-    text = oracle_prefix(parse_substitution_spec("a -> aab\nb -> ba\n").substitution, "a", horizon)
+    text = oracle_prefix(parse_substitution_spec("a -> aab\nb -> ba\n"), "a", horizon)
     for factor in ("b", "ab", "aab"):
         expected = list(oracle_occurrences(text, factor))
         argv = [pair_spec, "--seed", "a", "--factor", factor, "--horizon", str(horizon)]
@@ -1075,7 +1135,7 @@ def test_package_names_load_on_first_use():
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[] True 68"
+    assert result.stdout.strip() == "[] True 65"
     with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
         substrand.nonesuch
 

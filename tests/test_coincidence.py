@@ -26,18 +26,18 @@ def _streams(sub, a="a", b="b"):
 def test_delta_sequence_example(aab_ba):
     x, y = _streams(aab_ba)
     ds = delta_sequence(x, y, 3)
-    assert ds.values == ((0, 0), (1, -1), (1, -1), (0, 0))
+    assert ds == ((0, 0), (1, -1), (1, -1), (0, 0))
 
 
 def test_delta_sequence_self_is_zero(aab_ba):
     x, _ = _streams(aab_ba)
     ds = delta_sequence(x, x, 50)
-    assert set(ds.values) == {(0, 0)}
+    assert set(ds) == {(0, 0)}
 
 
 def test_delta_sequence_thue_morse(thue_morse):
     x, y = _streams(thue_morse)
-    assert delta_sequence(x, y, 2).values[2] == (0, 0)  # prefixes ab vs ba
+    assert delta_sequence(x, y, 2)[2] == (0, 0)  # prefixes ab vs ba
 
 
 def test_delta_recurrence_matches_scratch(aab_ba):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from substrand import (
+    Alphabet,
     CoincidenceWitness,
     FixedPointStream,
     FsFamily,
     InputError,
+    OccurrenceSet,
     PathRepresentation,
     Substitution,
     Word,
@@ -24,7 +26,7 @@ from substrand import (
 )
 from substrand import ipsets
 from substrand.ipsets import POWER_CAP, SEARCHED
-from conftest import oracle_build_fs_family, oracle_verify_finite_sums, seeded_pairs
+from conftest import oracle_build_fs_family, oracle_search_ip_witness, oracle_verify_finite_sums, seeded_pairs
 
 
 @pytest.fixture
@@ -77,7 +79,7 @@ def test_generators_agree_with_path_decoder(pair_witness):
     family = build_fs_family(sub, witness, 3)
     sigma = sub.power(family.provenance.power)
     for path, value in zip(family.provenance.paths, family.generators):
-        assert decode_path(sigma, path, materialize=False).value == value
+        assert decode_path(sigma, path, realize_cap=None).value == value
 
 
 def test_abelian_twin_paths_have_equal_values(pair_witness):
@@ -91,7 +93,7 @@ def test_abelian_twin_paths_have_equal_values(pair_witness):
         twin = PathRepresentation(
             prov.target_letter, (prov.prefix_y, prov.connector) + (empty,) * (2 * i)
         )
-        assert decode_path(sigma, twin, materialize=False).value == value
+        assert decode_path(sigma, twin, realize_cap=None).value == value
 
 
 # most drawn rules are not primitive or have no witness below the horizon
@@ -278,6 +280,22 @@ def test_search_exhausts_and_returns_none(fibonacci):
     assert search_ip_witness(empty, 2) is None
     with pytest.raises(InputError):
         search_ip_witness(empty, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.integers(0, 1), min_size=1, max_size=60), depth=st.integers(1, 4))
+def test_search_matches_the_list_based_oracle(bits, depth):
+    occ = OccurrenceSet(Word(Alphabet("a")), len(bits), bytearray(bits))
+    family = search_ip_witness(occ, depth)
+    expected = oracle_search_ip_witness(occ, depth)
+    assert (family and family.generators) == expected
+
+
+def test_search_on_fibonacci_matches_the_list_based_oracle(fibonacci):
+    x = FixedPointStream(fibonacci, "a")
+    for factor, horizon, depth in (("a", 100, 2), ("a", 1000, 4), ("ab", 1000, 3), ("b", 10**5, 2)):
+        occ = occurrences(x, factor, horizon)
+        assert search_ip_witness(occ, depth).generators == oracle_search_ip_witness(occ, depth)
 
 
 def test_family_for_period_two_pair():

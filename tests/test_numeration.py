@@ -2,7 +2,7 @@ import random
 from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import oracle_enumerate_paths
 from substrand import (
@@ -22,6 +22,7 @@ from substrand import (
     proximality_scan,
     synchronizing_scan,
 )
+from substrand.cli import _seed_power
 from substrand.numeration import _greedy_walk, _walks
 
 
@@ -75,7 +76,7 @@ def test_decode_errors(fibonacci):
 def test_decode_realization_cap(fibonacci):
     path = encode_integer(fibonacci, "a", 10_000)
     assert decode_path(fibonacci, path, realize_cap=100).realized is None
-    assert decode_path(fibonacci, path, materialize=False).realized is None
+    assert decode_path(fibonacci, path, realize_cap=None).realized is None
     assert len(decode_path(fibonacci, path).realized) == 10_000
 
 
@@ -109,7 +110,7 @@ def test_enumeration_is_the_order_of_values(fibonacci, tribonacci, aab_bbaab):
     for sub, seed in ((fibonacci, "a"), (tribonacci, "a"), (aab_bbaab, "b")):
         paths = enumerate_paths(sub, seed, 120)
         for k, p in enumerate(paths):
-            assert decode_path(sub, p, materialize=False).value == k
+            assert decode_path(sub, p, realize_cap=None).value == k
             assert encode_integer(sub, seed, k) == p
 
 
@@ -212,7 +213,7 @@ def test_round_trip_fuzz_random_substitutions():
             continue
         seed = seeds[0]
         for value in range(300):
-            assert decode_path(sub, encode_integer(sub, seed, value), materialize=False).value == value
+            assert decode_path(sub, encode_integer(sub, seed, value), realize_cap=None).value == value
         stream = FixedPointStream(sub, seed)
         prefix = stream.prefix_text(300)
         for value in (0, 1, 2, 137, 299):
@@ -253,8 +254,8 @@ def _check_sync_is_agreement(sub, a, b):
     far = {e.value: e for e in synchronizing_scan(sub, a, b, (lo, hi)).entries}
     for v in range(lo, hi + 1):
         path_a, path_b = encode_integer(sub, a, v), encode_integer(sub, b, v)
-        end_a = decode_path(sub, path_a, materialize=False)
-        end_b = decode_path(sub, path_b, materialize=False)
+        end_a = decode_path(sub, path_a, realize_cap=None)
+        end_b = decode_path(sub, path_b, realize_cap=None)
         assert end_a.value == end_b.value == v
         if v in far:
             entry = far[v]
@@ -286,11 +287,16 @@ def test_sync_is_the_agreement_set_random(rules):
 
 @settings(max_examples=30, deadline=None)
 @given(_TWO_SEED_RULES, st.integers(0, 3000))
+# seeds of period 2, or of periods 1 and 2, whose points agree somewhere
+@example({"a": "bab", "b": "aab"}, 3000)
+@example({"a": "ba", "b": "aab"}, 1000)
+@example({"a": "abb", "b": "cb", "c": "bab"}, 3000)
 def test_sync_values_are_the_proximal_windows(rules, h):
-    # both compute the agreement set: num sync on 0..h by walking paths,
+    # both compute the agreement set: num sync on 0..h by walking paths of
+    # sigma^p, p the lcm of the seeds' periods (as the command does),
     # proximal below h + 1 by comparing the expanded points
     sub = Substitution(rules)
-    scan = synchronizing_scan(sub, "a", "b", (0, h))
+    scan = synchronizing_scan(_seed_power(sub, "a", "b"), "a", "b", (0, h))
     evidence = proximality_scan(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 1, h + 1)
     windows = [v for start, length in evidence.windows for v in range(start, start + length)]
     assert [e.value for e in scan.entries] == windows

@@ -22,16 +22,15 @@ from substrand.ipsets import SEARCHED
 
 _MODULES = ("words", "spectral", "points", "coincidence", "numeration", "ipsets", "strand")
 _RECORDS = {
-    "words": {"SubstitutionSpec"},
     "spectral": {"RootBound", "ClassificationReport"},
     "points": {"OccurrenceSet", "ProximalityEvidence"},
-    "coincidence": {"DeltaSequence", "CoincidenceWitness", "CoincidenceVerdict", "BalancedPairClosure"},
+    "coincidence": {"CoincidenceWitness", "CoincidenceVerdict", "BalancedPairClosure"},
     "numeration": {"PathRepresentation", "DecodedValue", "SynchronizingEntry", "SynchronizingScan"},
     "ipsets": {"FsProvenance", "FsFamily", "FsVerification"},
     "strand": {"Strand", "InvariantSplitting", "StabilityScan"},
 }
 # records whose own len() is not their field count
-_OWN_LEN = {"DeltaSequence", "OccurrenceSet", "PathRepresentation", "Strand"}
+_OWN_LEN = {"OccurrenceSet", "PathRepresentation", "Strand"}
 
 
 def _public_records():
@@ -58,7 +57,7 @@ def test_the_record_types_are_the_named_tuples():
     for module, cls in _public_records():
         found.setdefault(module, set()).add(cls.__name__)
     assert found == _RECORDS
-    assert sum(map(len, found.values())) == 19
+    assert sum(map(len, found.values())) == 17
 
 
 @pytest.mark.parametrize("cls", [cls for _, cls in _public_records()], ids=lambda cls: cls.__name__)

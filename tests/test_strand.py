@@ -2,6 +2,7 @@ import functools
 import io
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from substrand import (
     write_scan_csv,
     write_stable_scatter_svg,
 )
+from substrand import strand as strand_module
 from conftest import (
     oracle_build_strand,
     oracle_conjugation_error,
@@ -304,7 +306,9 @@ def test_strands_match_segment_oracles(fibonacci, tribonacci, aab_ba, data):
     oracle_seed = oracle_build_strand(word, origin)
     assert seed.vertices().tolist() == [list(v) for v in oracle_vertices(oracle_seed)]
 
-    scan = stability_scan(sub, seed, iterations, sp, translation_samples=offsets)
+    with mock.patch.object(strand_module, "_TRANSLATION_SAMPLES", offsets):
+        scan = stability_scan(sub, seed, iterations, sp)
+    assert scan.translation_samples == offsets
     oracle_strands = [oracle_seed]
     for _ in range(iterations):
         oracle_strands.append(oracle_substitute_strand(sub, oracle_strands[-1]))

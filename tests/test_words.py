@@ -13,7 +13,6 @@ from substrand import (
     abelianization_matrix,
     abelianize,
     apply_substitution,
-    expand,
     list_periodic_seeds,
 )
 from substrand.numeration import _require_period_one
@@ -121,9 +120,9 @@ def test_seed_rule_matches_the_expansion_oracle(sub):
 
 def test_expand_against_oracle(fibonacci):
     stream = FixedPointStream(fibonacci, "a")
-    assert str(expand(stream, 13)) == "abaababaabaab"
-    assert str(expand(stream, 13)) == oracle_prefix(fibonacci, "a", 13)
-    assert str(expand(stream, 0)) == ""
+    assert str(stream.expand(13)) == "abaababaabaab"
+    assert str(stream.expand(13)) == oracle_prefix(fibonacci, "a", 13)
+    assert str(stream.expand(0)) == ""
 
 
 def test_expand_rejects_bad_seed(fibonacci):
