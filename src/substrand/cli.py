@@ -52,7 +52,9 @@ of ``strand scan`` and ``strand export`` is capped at ``STRAND_CAP`` = 10**6
 segments: one more exits 2 before any strand is inflated. The weight column of ``num
 graph --weights`` is capped at ``WEIGHTS_CAP`` = 10**7 digits, and the labels
 of ``num graph`` at ``MATERIALIZE_CAP`` letters, both counted from the image
-lengths before any weight or edge is written.
+lengths before any weight or edge is written. So is sigma^p at a seed of
+period p > 1, at ``MATERIALIZE_CAP`` letters over its images, before any
+image is built.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ def _seed_power(sub: Substitution, *starts: str) -> Substitution:
     for ``num decode``, which decodes a path at any letter, to read sigma's."""
     from .words import seed_period
 
-    return sub.power(math.lcm(*(seed_period(sub, s) or 1 for s in starts)))
+    p = math.lcm(*(seed_period(sub, s) or 1 for s in starts))
+    if p > 1:  # sigma^p's images are built in full: count them first
+        _check_cap(f"image length of sigma^{p}", sum(sub.image_lengths(p)), MATERIALIZE_CAP)
+    return sub.power(p)
 
 
 def _parse_seeds(value: str) -> tuple[str, str]:
@@ -325,19 +330,21 @@ def _cmd_num_sync(args, sub: Substitution):
 def _witness_family(sub: Substitution, a: str, b: str, horizon: int, count: int):
     """The least witness of the seeds below the horizon (searched below
     MATERIALIZE_CAP at most), and the family of ``count`` generators built from
-    it under sigma^p, p the lcm of the seeds' periods (both None without a
+    it under sigma^p (:func:`_seed_power`), and sigma^p (all None without a
     witness)."""
     from . import coincidence as coin, ipsets
 
-    x, y, period = _stream_pair(sub, a, b)
+    x, y, _ = _stream_pair(sub, a, b)
     witness = coin.find_strong_coincidence(x, y, min(horizon, MATERIALIZE_CAP)).witness
-    family = witness and ipsets.build_fs_family(sub.power(period), witness, count)
-    return witness, family
+    if witness is None:
+        return None, None, None
+    power = _seed_power(sub, a, b)
+    return witness, ipsets.build_fs_family(power, witness, count), power
 
 
 def _cmd_ipset_build(args, sub: Substitution):
     horizon = _scan_horizon(args)
-    witness, family = _witness_family(sub, *_parse_seeds(args.seeds), horizon, args.count)
+    witness, family, _ = _witness_family(sub, *_parse_seeds(args.seeds), horizon, args.count)
     if witness is None:
         return 1, {"witness": None, "horizon": horizon, "family": None}, None
     return 0, {"witness": witness.to_json_dict(), "family": family.to_json_dict()}, None
@@ -359,21 +366,19 @@ def _cmd_ipset_verify(args, sub: Substitution):
         except ValueError:
             raise InputError(f"--generators expects integers, got {args.generators!r}")
         family = ipsets.FsFamily(generators, ipsets.SEARCHED)
-        starts, factor = (args.seed,), args.factor
+        start, factor, power = args.seed, args.factor, _seed_power(sub, args.seed)
     else:
         if not args.seeds:
             raise InputError("provide either --generators with --seed/--factor, or --seeds")
         starts = _parse_seeds(args.seeds)
         count = 2 if args.count is None else args.count
-        _, family = _witness_family(sub, *starts, horizon, count)
+        _, family, power = _witness_family(sub, *starts, horizon, count)
         if family is None:
             return 1, {"witness": None, "verdict": "no-witness"}, None
-        factor = family.provenance.target_letter
+        start, factor = starts[0], family.provenance.target_letter
     if args.horizon is None:  # cover the largest sum, so that every sum is checked
         horizon = max(horizon, sum(family.generators) + len(factor) + 1)
-    verification = ipsets.verify_finite_sums(
-        family, _seed_power(sub, *starts), starts[0], factor, horizon, args.max_subset_size
-    )
+    verification = ipsets.verify_finite_sums(family, power, start, factor, horizon, args.max_subset_size)
     code = int(args.expect_pass and verification.verdict != "pass")
     return code, verification.to_json_dict, verification.to_text
 

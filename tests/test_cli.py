@@ -514,6 +514,40 @@ def test_num_sync_takes_the_lcm_of_the_periods(capsys, tmp_path):
     assert [e["terminal"] for e in payload["synchronizing"]] == [x[v] for v in range(301) if x[v] == y[v]]
 
 
+def test_seed_power_cap_exits_2_before_sigma_p_is_built(capsys, monkeypatch, tmp_path):
+    # first letters run through a 5-cycle and a 7-cycle, each image two letters long:
+    # every letter's image under sigma^p has 2**p letters
+    spec = tmp_path / "cycles.sub"
+    spec.write_text("".join(f"{c} -> {cycle[(i + 1) % len(cycle)]}{c}\n"
+                            for cycle in ("abcde", "fghijkl") for i, c in enumerate(cycle)))
+
+    def refuse(self, m):
+        raise AssertionError(f"built sigma^{m} past the cap")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Substitution, "power", refuse)
+        # sync reads sigma^35, the lcm of the periods: 12 * 2**35 letters
+        assert main(["num", "sync", str(spec), "--starts", "a,f", "--range", "0:10"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: image length of sigma^35 {12 * 2**35} exceeds the cap of 10000000 letters\n")
+        # sigma^5 holds 12 * 32 = 384 letters
+        mp.setattr(cli, "MATERIALIZE_CAP", 383)
+        for argv in (["num", "encode", str(spec), "--start", "a", "5"],
+                     ["num", "list", str(spec), "--start", "a"],
+                     ["num", "decode", str(spec), "a:"],
+                     ["ipset", "verify", str(spec), "--generators", "1", "--seed", "a", "--factor", "a"]):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", "error: image length of sigma^5 384 exceeds the cap of 383 letters\n")
+    # at the cap the paths are sigma^5's, and decode back to prefixes of the point
+    monkeypatch.setattr(cli, "MATERIALIZE_CAP", 384)
+    x = oracle_prefix(parse_substitution_spec(spec.read_text()), "a", 40, period=5)
+    code, payload = _run_json(capsys, ["num", "list", str(spec), "--start", "a", "--count", "40"])
+    assert code == 0
+    for value, rendered in enumerate(payload["paths"]):
+        code, decoded = _run_json(capsys, ["num", "decode", str(spec), rendered])
+        assert code == 0 and decoded["value"] == value and decoded["realized"] == x[:value]
+
+
 def test_num_graph_cap_exits_2_before_any_edge(capsys, monkeypatch, tmp_path):
     # the labels of the images (length 5 and 1) hold 5 * 4 / 2 = 10 letters
     spec = tmp_path / "long.sub"

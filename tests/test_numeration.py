@@ -1,3 +1,4 @@
+import math
 import random
 from itertools import islice
 
@@ -22,8 +23,8 @@ from substrand import (
     proximality_scan,
     synchronizing_scan,
 )
-from substrand.cli import _seed_power
 from substrand.numeration import _greedy_walk, _walks
+from substrand.words import seed_period
 
 
 def _edges(sub):
@@ -296,7 +297,7 @@ def test_sync_values_are_the_proximal_windows(rules, h):
     # sigma^p, p the lcm of the seeds' periods (as the command does),
     # proximal below h + 1 by comparing the expanded points
     sub = Substitution(rules)
-    scan = synchronizing_scan(_seed_power(sub, "a", "b"), "a", "b", (0, h))
+    scan = synchronizing_scan(sub.power(math.lcm(seed_period(sub, "a"), seed_period(sub, "b"))), "a", "b", (0, h))
     evidence = proximality_scan(FixedPointStream(sub, "a"), FixedPointStream(sub, "b"), 1, h + 1)
     windows = [v for start, length in evidence.windows for v in range(start, start + length)]
     assert [e.value for e in scan.entries] == windows
